@@ -15,9 +15,12 @@
 //!   preload counters, capacities, and the relay plan), so converging
 //!   histories — playbacks ended, caches expired — are explored once;
 //! * doubles as a differential fuzz gate: every explored transition is
-//!   stepped through the incremental, full-rescan, and sharded (1/2/4
-//!   thread) pipelines with bit-equality of the round metrics asserted,
-//!   and any divergence is dumped as a replayable [`SeedFile`];
+//!   stepped through the [`EngineVariant::GATE`] pipelines — incremental,
+//!   unstamped (stamp-based diff skipping disabled), and sharded (1/2/4
+//!   threads) — with bit-equality of the round metrics asserted, and every
+//!   explored state's candidate-row memo checked against fresh builds
+//!   ([`vod_sim::Simulator::check_row_memo`]); any divergence is dumped as a
+//!   replayable [`SeedFile`];
 //! * shrinks failing demand sequences to minimal counterexamples
 //!   (round-prefix/suffix deletion, then greedy per-demand deletion, each
 //!   candidate re-checked for µ-admissibility and replayed);
@@ -38,9 +41,10 @@ use vod_core::{
     Bandwidth, BoxId, Catalog, FxHasher64, RandomPermutationAllocator, SystemParams, VideoId,
     VideoSystem,
 };
+use vod_flow::{CandidateBuf, CandidateView, RelayLendStats, RelayView};
 use vod_sim::{
-    DegradationConfig, FailurePolicy, MaxFlowScheduler, RepairPlanner, RoundMetrics, SimConfig,
-    SimulationReport, Simulator,
+    DegradationConfig, FailurePolicy, MaxFlowScheduler, RepairPlanner, RequestKey, RoundMetrics,
+    Scheduler, ShardRoundStats, ShardedMatcher, SimConfig, SimulationReport, Simulator,
 };
 use vod_workloads::{
     ChurnEvent, DemandGenerator, DemandTrace, FaultEvent, OccupancyView, TraceReplay, VideoDemand,
@@ -75,6 +79,17 @@ impl JsonCodec for HeteroSpec {
         })
     }
 }
+
+/// Most boxes a [`SeedSystem`] may describe.
+pub const MAX_SEED_BOXES: usize = 1 << 12;
+
+/// Most storage slots (`n·d·c`) and stripe replicas (`m·c·k`) a
+/// [`SeedSystem`] may describe.
+pub const MAX_SEED_SLOTS: u64 = 1 << 22;
+
+/// Longest horizon [`replay_seed`] accepts, and longest video duration a
+/// [`SeedSystem`] may describe, in rounds.
+pub const MAX_SEED_HORIZON: u64 = 1 << 12;
 
 /// A reproducible system recipe: everything needed to rebuild the exact
 /// [`VideoSystem`] a sequence was explored on (the allocation is a pure
@@ -149,10 +164,11 @@ impl SeedSystem {
 
     /// Rebuilds the exact system: same parameters, same seeded allocation.
     ///
-    /// # Panics
-    /// Panics when the recipe is structurally invalid (the recipes shipped
-    /// in corpus files and experiment configs are constructed valid).
-    pub fn build(&self) -> VideoSystem {
+    /// The recipe is validated before anything is allocated: invalid
+    /// parameters, a malformed heterogeneous spec, or a system beyond
+    /// [`MAX_SEED_BOXES`], [`MAX_SEED_SLOTS`] or [`MAX_SEED_HORIZON`] is an
+    /// `Err`, never a panic.
+    pub fn build(&self) -> Result<VideoSystem, String> {
         let params = SystemParams::new(
             self.n,
             self.u,
@@ -162,12 +178,61 @@ impl SeedSystem {
             self.mu,
             self.duration,
         );
+        params
+            .validate()
+            .map_err(|e| format!("invalid seed system: {e}"))?;
+        let finite_non_negative = |x: f64| x.is_finite() && x >= 0.0;
+        if !finite_non_negative(self.u) {
+            return Err(format!("invalid seed system: upload {}", self.u));
+        }
+        if self.n > MAX_SEED_BOXES {
+            return Err(format!(
+                "seed system has {} boxes, above the cap of {MAX_SEED_BOXES}",
+                self.n
+            ));
+        }
+        if u64::from(self.duration) > MAX_SEED_HORIZON {
+            return Err(format!(
+                "seed system has video duration {}, above the cap of {MAX_SEED_HORIZON}",
+                self.duration
+            ));
+        }
+        let c = self.c as u64;
+        let storage = match &self.hetero {
+            None => self.n as u64 * self.d as u64 * c,
+            Some(h) => {
+                if h.uploads.len() != self.n {
+                    return Err(format!(
+                        "heterogeneous spec lists {} uploads for {} boxes",
+                        h.uploads.len(),
+                        self.n
+                    ));
+                }
+                let valid = h.uploads.iter().all(|&u| finite_non_negative(u))
+                    && finite_non_negative(h.storage_per_upload)
+                    && h.u_star.is_finite()
+                    && h.u_star > 0.0;
+                if !valid {
+                    return Err("heterogeneous spec has a non-finite or negative value".into());
+                }
+                let videos: f64 = h.uploads.iter().map(|u| u * h.storage_per_upload).sum();
+                (videos * c as f64).min(u64::MAX as f64) as u64
+            }
+        };
+        let replicas = (self.catalog as u64)
+            .saturating_mul(c)
+            .saturating_mul(self.k as u64);
+        if storage > MAX_SEED_SLOTS || replicas > MAX_SEED_SLOTS {
+            return Err(format!(
+                "seed system needs {storage} storage slots and {replicas} replicas, \
+                 above the cap of {MAX_SEED_SLOTS}"
+            ));
+        }
         let allocator = RandomPermutationAllocator::new(self.k);
         let mut rng = StdRng::seed_from_u64(self.alloc_seed);
-        match &self.hetero {
+        let system = match &self.hetero {
             None => {
                 VideoSystem::homogeneous_with_catalog(params, self.catalog, &allocator, &mut rng)
-                    .expect("seed recipe must describe a valid homogeneous system")
             }
             Some(h) => {
                 let boxes =
@@ -181,9 +246,9 @@ impl SeedSystem {
                     Some(Bandwidth::from_streams(h.u_star)),
                     &mut rng,
                 )
-                .expect("seed recipe must describe a valid heterogeneous system")
             }
-        }
+        };
+        system.map_err(|e| format!("seed recipe does not build: {e}"))
     }
 
     /// Compact parameter label (`n4m2c2k3`-style) for tables and bench keys.
@@ -216,19 +281,20 @@ pub struct ScriptedChurn {
 }
 
 impl ScriptedChurn {
-    /// Materializes the engine event against the rebuilt `system`.
-    pub fn event(&self, system: &VideoSystem) -> ChurnEvent {
+    /// Materializes the engine event against the rebuilt `system`; `Err`
+    /// when the script names a box outside the universe.
+    pub fn event(&self, system: &VideoSystem) -> Result<ChurnEvent, String> {
         let b = BoxId(self.box_id);
-        if self.rejoin {
-            let node = *system
-                .boxes()
-                .iter()
-                .nth(b.index())
-                .unwrap_or_else(|| panic!("churn script names box {b} outside the universe"));
-            ChurnEvent::Joined(node)
+        let node = system
+            .boxes()
+            .iter()
+            .nth(b.index())
+            .ok_or_else(|| format!("churn script names box {b} outside the universe"))?;
+        Ok(if self.rejoin {
+            ChurnEvent::Joined(*node)
         } else {
             ChurnEvent::Left(b)
-        }
+        })
     }
 }
 
@@ -273,7 +339,7 @@ impl ScriptedFault {
     /// degrades), closing at `round + duration`.
     pub fn event(&self) -> FaultEvent {
         let box_id = BoxId(self.box_id);
-        let until = self.round + self.duration;
+        let until = self.round.saturating_add(self.duration);
         if self.pct == 0 {
             FaultEvent::Stalled { box_id, until }
         } else {
@@ -390,16 +456,88 @@ impl SeedFile {
     }
 }
 
+/// A scheduler fed stamp-free candidate views: every view the engine hands
+/// down is re-buffered without its per-row change stamps, so the wrapped
+/// scheduler diffs every row every round. Run against the stamped original,
+/// it proves that stamp-based diff skipping never changes a schedule. Only
+/// the engine's view entry points are forwarded; the slice-of-vecs ones
+/// keep the trait defaults.
+pub struct Unstamped<S> {
+    inner: S,
+    rows: CandidateBuf,
+}
+
+impl<S: Scheduler> Unstamped<S> {
+    /// Wraps `inner`.
+    pub fn new(inner: S) -> Self {
+        Unstamped {
+            inner,
+            rows: CandidateBuf::new(),
+        }
+    }
+
+    fn rebuffer(&mut self, candidates: CandidateView<'_>) {
+        self.rows.clear();
+        for row in candidates.rows() {
+            self.rows.push_row(row.iter().copied());
+        }
+    }
+}
+
+impl<S: Scheduler> Scheduler for Unstamped<S> {
+    fn schedule(&mut self, capacities: &[u32], candidates: &[Vec<BoxId>]) -> Vec<Option<BoxId>> {
+        self.inner.schedule(capacities, candidates)
+    }
+
+    fn schedule_keyed_view(
+        &mut self,
+        capacities: &[u32],
+        keys: &[RequestKey],
+        candidates: CandidateView<'_>,
+        out: &mut Vec<Option<BoxId>>,
+    ) {
+        self.rebuffer(candidates);
+        self.inner
+            .schedule_keyed_view(capacities, keys, self.rows.view(), out);
+    }
+
+    fn schedule_relayed_view(
+        &mut self,
+        capacities: &[u32],
+        keys: &[RequestKey],
+        candidates: CandidateView<'_>,
+        relays: &RelayView,
+        out: &mut Vec<Option<BoxId>>,
+    ) {
+        self.rebuffer(candidates);
+        self.inner
+            .schedule_relayed_view(capacities, keys, self.rows.view(), relays, out);
+    }
+
+    fn shard_stats(&self) -> Option<ShardRoundStats> {
+        self.inner.shard_stats()
+    }
+
+    fn relay_stats(&self) -> Option<RelayLendStats> {
+        self.inner.relay_stats()
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
 /// The engine variants the differential gate steps in lock-step: the
-/// incremental reference, the legacy full-rescan candidate pipeline, and
-/// the sharded scheduler at 1, 2, and 4 threads.
+/// incremental reference, the same scheduler fed stamp-free views, and the
+/// sharded scheduler at 1, 2, and 4 threads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineVariant {
-    /// Incremental candidate index + global max-flow scheduler (reference).
+    /// Global incremental max-flow scheduler (reference).
     Incremental,
-    /// Legacy full-rescan candidate pipeline + global max-flow scheduler.
-    Rescan,
-    /// Incremental candidates + sharded per-swarm scheduler.
+    /// The reference scheduler behind [`Unstamped`]: no row is ever
+    /// skipped as unchanged.
+    Unstamped,
+    /// Sharded per-swarm scheduler on the given number of threads.
     Sharded(usize),
 }
 
@@ -407,7 +545,7 @@ impl EngineVariant {
     /// The differential gate's variant set (reference first).
     pub const GATE: [EngineVariant; 5] = [
         EngineVariant::Incremental,
-        EngineVariant::Rescan,
+        EngineVariant::Unstamped,
         EngineVariant::Sharded(1),
         EngineVariant::Sharded(2),
         EngineVariant::Sharded(4),
@@ -417,39 +555,23 @@ impl EngineVariant {
     pub fn label(self) -> String {
         match self {
             EngineVariant::Incremental => "incremental".to_string(),
-            EngineVariant::Rescan => "rescan".to_string(),
+            EngineVariant::Unstamped => "unstamped".to_string(),
             EngineVariant::Sharded(t) => format!("sharded-{t}"),
+        }
+    }
+
+    /// A fresh scheduler of this variant.
+    pub fn scheduler(self) -> Box<dyn Scheduler> {
+        match self {
+            EngineVariant::Incremental => Box::new(MaxFlowScheduler::new()),
+            EngineVariant::Unstamped => Box::new(Unstamped::new(MaxFlowScheduler::new())),
+            EngineVariant::Sharded(threads) => Box::new(ShardedMatcher::new(threads)),
         }
     }
 
     /// Builds a fresh simulator of this variant over `system`.
     pub fn simulator<'a>(self, system: &'a VideoSystem, config: SimConfig) -> Simulator<'a> {
-        match self {
-            EngineVariant::Incremental => {
-                Simulator::with_scheduler(system, config, Box::new(MaxFlowScheduler::new()))
-            }
-            EngineVariant::Rescan => Simulator::with_scheduler(
-                system,
-                config.with_rescan_candidates(),
-                Box::new(MaxFlowScheduler::new()),
-            ),
-            EngineVariant::Sharded(threads) => {
-                Simulator::with_sharded_scheduler(system, config, threads)
-            }
-        }
-    }
-
-    /// Branches `sim` (which must be of this variant) with a fresh
-    /// scheduler of the same kind.
-    fn fork<'a>(self, sim: &Simulator<'a>) -> Simulator<'a> {
-        match self {
-            EngineVariant::Incremental | EngineVariant::Rescan => {
-                sim.fork_with(Box::new(MaxFlowScheduler::new()))
-            }
-            EngineVariant::Sharded(threads) => {
-                sim.fork_with(Box::new(vod_sim::ShardedMatcher::new(threads)))
-            }
-        }
+        Simulator::with_scheduler(system, config, self.scheduler())
     }
 }
 
@@ -462,6 +584,7 @@ pub struct ExploreSpec {
     pub horizon: u64,
     /// Step every transition through all [`EngineVariant::GATE`] variants
     /// and assert bit-equality (5× the engine work; off = reference only).
+    /// Either way every explored state's row memo is checked.
     pub differential: bool,
     /// Stop at the first infeasible sequence instead of counting them all
     /// (counterexample search below the threshold).
@@ -745,11 +868,10 @@ fn admissible_batches(reference: &Simulator, system: &VideoSystem, mu: f64) -> V
 /// global and sharded max-flows may pick different suppliers for the same
 /// served set, so only the sum — `served`, which stays compared — is
 /// schedule-invariant; the sharded-vs-sharded gates still pin the split
-/// across thread counts). Wall-clock timing is scrubbed through the
-/// [`vod_sim::TimingNeutral`] rule ([`vod_sim::CandidateStats`] equality
-/// already ignores build time, and [`RoundMetrics`] equality ignores
-/// `timing` — scrubbing here keeps normalized records canonical for
-/// hashing and serialization too). Everything else must match bit for bit.
+/// across thread counts). Wall-clock timing is dropped ([`RoundMetrics`]
+/// equality already ignores it — dropping it here keeps normalized records
+/// canonical for hashing and serialization too). Everything else must
+/// match bit for bit.
 pub fn normalize_round(metrics: &RoundMetrics) -> RoundMetrics {
     let mut m = metrics.clone();
     m.shard = None;
@@ -758,9 +880,6 @@ pub fn normalize_round(metrics: &RoundMetrics) -> RoundMetrics {
     if let Some(relay) = &mut m.relay {
         relay.contested_relays = 0;
         relay.lent = 0;
-    }
-    if let Some(cand) = &mut m.candidates {
-        vod_sim::TimingNeutral::scrub(cand);
     }
     m.timing = None;
     m
@@ -775,13 +894,18 @@ pub fn normalize_report(report: &SimulationReport) -> SimulationReport {
 }
 
 /// Runs the bounded exhaustive exploration described by `spec`.
+///
+/// # Panics
+/// Panics when `spec.seed` does not build (see [`SeedSystem::build`]).
 pub fn explore(spec: &ExploreSpec) -> ExploreOutcome {
-    let system = spec.seed.build();
+    let system = spec
+        .seed
+        .build()
+        .unwrap_or_else(|e| panic!("explore spec: {e}"));
     let config = SimConfig {
         max_rounds: spec.horizon,
         failure_policy: FailurePolicy::Abort,
         collect_obstructions: false,
-        candidates: vod_sim::CandidateMode::Incremental,
     };
     let variants: Vec<EngineVariant> = if spec.differential {
         EngineVariant::GATE.to_vec()
@@ -914,11 +1038,14 @@ fn step_edge(
     let mut children: Vec<Simulator> = variants
         .iter()
         .zip(bundle)
-        .map(|(v, sim)| v.fork(sim))
+        .map(|(v, sim)| sim.fork_with(v.scheduler()))
         .collect();
     if let Some(event) = churn {
+        let event = event
+            .event(system)
+            .expect("explored churn names a live box");
         for child in children.iter_mut() {
-            child.apply_churn(event.event(system));
+            child.apply_churn(event);
         }
     }
     if let Some(window) = fault {
@@ -952,6 +1079,25 @@ fn step_edge(
             ctx.fault_path.pop();
         }
     };
+
+    let stale_memo = children
+        .iter()
+        .zip(variants)
+        .find_map(|(child, v)| child.check_row_memo().err().map(|e| (v.label(), e)));
+    if let Some((label, detail)) = stale_memo {
+        ctx.out.divergences.push(SeedFile {
+            system: ctx.spec.seed.clone(),
+            horizon: ctx.spec.horizon,
+            demands: ctx.path_trace(),
+            churn: ctx.churn_path.clone(),
+            faults: ctx.fault_path.clone(),
+            repair_budget: ctx.spec.repair_budget,
+            degradation: None,
+            note: format!("stale candidate-row memo in {label}: {detail}"),
+        });
+        pop(ctx);
+        return;
+    }
 
     if ctx.spec.differential {
         let reference = normalize_round(
@@ -1029,6 +1175,10 @@ pub fn replay_fails(seed: &SeedSystem, trace: &DemandTrace, horizon: u64) -> boo
 /// [`replay_fails`] with scripted churn and fault interleavings (and an
 /// optional repair budget): each event lands before its round is stepped,
 /// exactly as the explorer's churn and fault edges applied it.
+///
+/// # Panics
+/// Panics when the seed does not build or a script names a box outside
+/// the system (the explorer and the shrinker only produce valid ones).
 pub fn replay_fails_scripted(
     seed: &SeedSystem,
     trace: &DemandTrace,
@@ -1037,7 +1187,7 @@ pub fn replay_fails_scripted(
     repair_budget: Option<u32>,
     horizon: u64,
 ) -> bool {
-    let system = seed.build();
+    let system = seed.build().unwrap_or_else(|e| panic!("replay: {e}"));
     let config = SimConfig::new(horizon)
         .continue_on_failure()
         .without_obstructions();
@@ -1049,7 +1199,11 @@ pub fn replay_fails_scripted(
     while sim.round() < horizon {
         let now = sim.round();
         for event in churn.iter().filter(|e| e.round == now) {
-            sim.apply_churn(event.event(&system));
+            sim.apply_churn(
+                event
+                    .event(&system)
+                    .unwrap_or_else(|e| panic!("replay: {e}")),
+            );
         }
         for window in faults.iter().filter(|f| f.round == now) {
             sim.apply_fault(window.event());
@@ -1178,17 +1332,50 @@ pub fn shrink_scripted(
 }
 
 /// Replays a seed file through every [`EngineVariant::GATE`] pipeline and
-/// checks the normalized reports are bit-identical. Returns the reference
+/// checks the normalized reports are bit-identical and every replayed
+/// state's candidate-row memo matches fresh builds. Returns the reference
 /// report, or a description of the first divergence. Seeds carrying churn
 /// or fault scripts (or a repair budget, or a degradation controller)
 /// replay them identically on every variant, each event landing before
 /// its round is stepped.
+///
+/// A seed that cannot be replayed — a recipe [`SeedSystem::build`]
+/// rejects, a horizon above [`MAX_SEED_HORIZON`], a script naming a box
+/// outside the system, a fault percentage above 100, or a degradation
+/// controller with an empty hysteresis band, window, or cooldown — is an
+/// `Err`, checked before anything is built.
 pub fn replay_seed(seed: &SeedFile) -> Result<SimulationReport, String> {
-    let system = seed.system.build();
+    if seed.horizon > MAX_SEED_HORIZON {
+        return Err(format!(
+            "horizon {} is above the cap of {MAX_SEED_HORIZON}",
+            seed.horizon
+        ));
+    }
+    let n = seed.system.n;
+    if let Some(e) = seed.churn.iter().find(|e| e.box_id as usize >= n) {
+        return Err(format!("churn script names box {} of {n}", e.box_id));
+    }
+    if let Some(f) = seed
+        .faults
+        .iter()
+        .find(|f| f.box_id as usize >= n || f.pct > 100)
+    {
+        return Err(format!("invalid fault window {f:?} for {n} boxes"));
+    }
+    if let Some(d) = seed.degradation {
+        if d.exit_ppm >= d.enter_ppm
+            || d.window == 0
+            || d.window as u64 > MAX_SEED_HORIZON
+            || d.cooldown == 0
+        {
+            return Err(format!("invalid degradation controller {d:?}"));
+        }
+    }
+    let system = seed.system.build()?;
     let config = SimConfig::new(seed.horizon)
         .continue_on_failure()
         .without_obstructions();
-    let run = |variant: EngineVariant| {
+    let run = |variant: EngineVariant| -> Result<SimulationReport, String> {
         let mut generator = TraceReplay::new(seed.demands.clone());
         let mut sim = variant.simulator(&system, config);
         if let Some(budget) = seed.repair_budget {
@@ -1200,19 +1387,21 @@ pub fn replay_seed(seed: &SeedFile) -> Result<SimulationReport, String> {
         while sim.round() < seed.horizon {
             let now = sim.round();
             for event in seed.churn.iter().filter(|e| e.round == now) {
-                sim.apply_churn(event.event(&system));
+                sim.apply_churn(event.event(&system)?);
             }
             for window in seed.faults.iter().filter(|f| f.round == now) {
                 sim.apply_fault(window.event());
             }
             sim.step(&mut generator);
+            sim.check_row_memo()
+                .map_err(|e| format!("replay of \"{}\" on {}: {e}", seed.note, variant.label()))?;
         }
-        sim.into_report()
+        Ok(sim.into_report())
     };
-    let reference = run(EngineVariant::Incremental);
+    let reference = run(EngineVariant::Incremental)?;
     let normalized = normalize_report(&reference);
     for variant in EngineVariant::GATE.into_iter().skip(1) {
-        let other = normalize_report(&run(variant));
+        let other = normalize_report(&run(variant)?);
         if other != normalized {
             let detail = normalized
                 .rounds
@@ -1306,7 +1495,7 @@ mod tests {
         let json = seed.to_json_string();
         let back = SeedSystem::from_json_str(&json).unwrap();
         assert_eq!(seed, back);
-        assert_eq!(seed.build(), back.build());
+        assert_eq!(seed.build().unwrap(), back.build().unwrap());
     }
 
     #[test]

@@ -34,7 +34,8 @@ pub use explore::{
     crosscheck_first_moment, explore, is_admissible, normalize_report, normalize_round,
     replay_fails, replay_fails_scripted, replay_seed, shrink_counterexample, shrink_scripted,
     EngineVariant, ExploreOutcome, ExploreSpec, FirstMomentCheck, HeteroSpec, ScriptedChurn,
-    ScriptedFault, SeedFile, SeedSystem,
+    ScriptedFault, SeedFile, SeedSystem, Unstamped, MAX_SEED_BOXES, MAX_SEED_HORIZON,
+    MAX_SEED_SLOTS,
 };
 pub use lower_bound::LowerBoundCheck;
 pub use montecarlo::{

@@ -10,7 +10,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use std::time::Duration;
 use vod_core::{BoxId, StripeId, VideoId};
-use vod_flow::{ConnectionProblem, Dinic, FlowArena, HopcroftKarp, HopcroftKarpSolve, PushRelabel};
+use vod_flow::{ConnectionProblem, Dinic, FlowArena, HopcroftKarpSolve, PushRelabel};
 use vod_sim::{IncrementalMatcher, RequestKey};
 
 /// A random connection-matching instance: `boxes` boxes of capacity `cap`,
@@ -56,18 +56,10 @@ fn bench_matching(criterion: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("hopcroft-karp-adapter", n), &n, |b, _| {
             b.iter(|| problem.solve_in(&mut arena, &mut hk_adapter).served())
         });
-        // Unit-capacity variant for the raw Hopcroft–Karp comparison.
+        // Unit-capacity variant: plain bipartite matching.
         let unit = instance(n, 1, n, 4, 9);
         group.bench_with_input(BenchmarkId::new("hopcroft-karp-unit", n), &n, |b, _| {
-            b.iter(|| {
-                let mut hk = HopcroftKarp::new(unit.request_count(), n);
-                for x in 0..unit.request_count() {
-                    for cand in unit.candidates_of(x) {
-                        hk.add_edge(x, cand.index());
-                    }
-                }
-                hk.solve().0
-            })
+            b.iter(|| unit.solve_in(&mut arena, &mut hk_adapter).served())
         });
         group.bench_with_input(BenchmarkId::new("dinic-unit", n), &n, |b, _| {
             b.iter(|| unit.solve_in(&mut arena, &mut dinic).served())

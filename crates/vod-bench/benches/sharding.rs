@@ -6,10 +6,7 @@
 //! partition + budget split + parallel shard solves + reconciliation
 //! against one global warm-started incremental solve. Thread counts 1–8
 //! are swept; on a single-core host the sharded numbers measure the
-//! sharding overhead, on a multi-core host the parallel speedup. The
-//! `sharded-baseline` series pins the PR 2 policies (demand-proportional
-//! split + rebuild reconciliation) so the win from deficit water-filling +
-//! persistent reconciliation is measured in isolation.
+//! sharding overhead, on a multi-core host the parallel speedup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -40,16 +37,6 @@ fn bench_sharding(criterion: &mut Criterion) {
             |b, script| {
                 b.iter(|| {
                     let mut matcher = MaxFlowScheduler::new();
-                    replay_script(script, &mut matcher)
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("sharded-baseline-1t", label),
-            &script,
-            |b, script| {
-                b.iter(|| {
-                    let mut matcher = ShardedMatcher::baseline(1);
                     replay_script(script, &mut matcher)
                 })
             },

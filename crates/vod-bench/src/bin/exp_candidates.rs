@@ -1,31 +1,26 @@
 //! E13 — Incremental candidate pipeline: expiry-wheel index + flat CSR
-//! views vs the legacy full-rescan pipeline.
+//! views.
 //!
 //! Every round the engine computes each request's candidate supplier set
-//! `B(x)` (Lemma 1's bipartite instance). The legacy pipeline re-derived the
-//! playback-cache half from scratch: a full `retain` sweep over every live
-//! cache entry plus linear `contains` scans — O(total cache state) per
-//! round. The incremental pipeline buckets entries into an expiry wheel by
-//! their (exactly known) eviction round and maintains per-stripe holder
-//! lists in place, so per-round maintenance is O(entries expiring now) +
-//! O(insertions), and the rows flow to the schedulers as one flat CSR
-//! buffer with per-row change stamps.
+//! `B(x)` (Lemma 1's bipartite instance). The candidate index buckets
+//! playback-cache entries into an expiry wheel by their (exactly known)
+//! eviction round and maintains per-stripe holder lists in place, so
+//! per-round maintenance is O(entries expiring now) + O(insertions), and
+//! the rows flow to the schedulers as one flat CSR buffer with per-row
+//! change stamps.
 //!
-//! This experiment replays identical workloads through both pipelines and
-//! reports the per-round candidate cost (index maintenance + row
-//! construction, measured by the engine itself into
-//! `RoundMetrics::candidates.build_ns`), alongside the live-entry and
-//! expiry volumes that explain it: the legacy cost tracks *live* entries,
-//! the incremental cost tracks *expiring* entries.
+//! This experiment replays workloads and reports the per-round candidate
+//! cost — index maintenance plus row construction, read from the tracer's
+//! `candidate-maintain` and `candidate-fill` spans — alongside the
+//! live-entry and expiry volumes that explain it: the cost tracks
+//! *expiring* entries, not live ones.
 //!
-//! It is also the CI gate for pipeline equivalence: the run exits non-zero
-//! unless (a) the rescan and incremental pipelines produce bit-identical
-//! simulation reports (schedules, metrics, failures; equality ignores only
-//! the build wall-clock), (b) the legacy-shaped scheduler entry points
-//! (slice-of-vecs, reached through the `Scheduler` trait's default bridge)
-//! schedule identically to the native CSR path, and (c) the sharded
-//! scheduler at 1/2/4 threads serves exactly what the global matcher
-//! serves under the new pipeline.
+//! It is also a CI gate for the CSR plumbing: the run exits non-zero unless
+//! (b) the slice-of-vecs scheduler entry points (reached through the
+//! `Scheduler` trait's default bridge) schedule identically to the native
+//! CSR path, and (c) the sharded scheduler at 1/2/4 threads serves exactly
+//! what the global matcher serves. (The index itself is checked against a
+//! brute-force model in `tests/candidate_pipeline.rs`.)
 
 use rand::SeedableRng;
 use std::time::Instant;
@@ -33,13 +28,18 @@ use vod_analysis::Table;
 use vod_bench::{print_header, BenchSink, Scale};
 use vod_core::{BoxId, RandomPermutationAllocator, SystemParams, VideoId, VideoSystem};
 use vod_sim::{
-    MaxFlowScheduler, RequestKey, Scheduler, ShardedMatcher, SimConfig, SimulationReport, Simulator,
+    MaxFlowScheduler, RequestKey, Scheduler, ShardedMatcher, SimConfig, SimulationReport,
+    Simulator, Stage, TraceHandle,
 };
 use vod_workloads::{DemandGenerator, FlashCrowd, MultiSwarmChurn};
 
 /// Timing repetitions per configuration: schedules are deterministic, so
 /// the minimum over repeats is a sound noise filter (the host is shared).
 const REPEATS: usize = 3;
+
+/// Trace ring capacity for the traced run (spans beyond it are dropped;
+/// the per-round stage aggregates are unaffected).
+const RING: usize = 1 << 14;
 
 /// Constructor of a fresh demand generator for one replay of a shape.
 type GenFactory = Box<dyn Fn(&VideoSystem) -> Box<dyn DemandGenerator>>;
@@ -82,9 +82,9 @@ fn shapes(scale: Scale) -> Vec<Shape> {
     ]
 }
 
-/// A scheduler that implements only the legacy slice-of-vecs methods, so
-/// the engine reaches it through the `Scheduler` trait's default
-/// view-to-vecs bridge — the "legacy-shaped" path of the divergence gate.
+/// A scheduler that implements only the slice-of-vecs methods, so the
+/// engine reaches it through the `Scheduler` trait's default view-to-vecs
+/// bridge — the bridged path of gate (b).
 struct BridgedMaxFlow(MaxFlowScheduler);
 
 impl Scheduler for BridgedMaxFlow {
@@ -110,10 +110,11 @@ impl Scheduler for BridgedMaxFlow {
 /// Aggregated candidate profile of one run.
 struct CandProfile {
     report: SimulationReport,
-    /// Candidate maintenance + build, milliseconds per round (best over
-    /// repeats).
+    /// Candidate maintenance + row construction, milliseconds per round
+    /// (from the tracer's candidate spans, best over repeats).
     cand_ms_per_round: f64,
-    /// Whole-run wall-clock milliseconds per round (best over repeats).
+    /// Whole-run wall-clock milliseconds per round, untraced (best over
+    /// repeats).
     total_ms_per_round: f64,
     live_avg: f64,
     expired_avg: f64,
@@ -134,17 +135,20 @@ fn profile(
         let report =
             Simulator::with_scheduler(&shape.system, config, make_sched()).run(gen.as_mut());
         let total_ms = start.elapsed().as_secs_f64() * 1e3 / report.round_count().max(1) as f64;
-        let cand_ns: u64 = report
+        best_total = best_total.min(total_ms);
+
+        let mut gen = (shape.make_gen)(&shape.system);
+        let mut sim = Simulator::with_scheduler(&shape.system, config, make_sched());
+        sim.attach_tracer(TraceHandle::recording(RING));
+        let traced = sim.run(gen.as_mut());
+        let cand_ns: u64 = traced
             .rounds
             .iter()
-            .filter_map(|r| r.candidates.as_ref())
-            .map(|c| c.build_ns)
+            .filter_map(|r| r.timing.as_ref())
+            .map(|t| t.stage_ns(Stage::CandidateMaintain) + t.stage_ns(Stage::CandidateFill))
             .sum();
-        let cand_ms = cand_ns as f64 / 1e6 / report.round_count().max(1) as f64;
-        if cand_ms < best_cand {
-            best_cand = cand_ms;
-        }
-        best_total = best_total.min(total_ms);
+        let cand_ms = cand_ns as f64 / 1e6 / traced.round_count().max(1) as f64;
+        best_cand = best_cand.min(cand_ms);
         kept = Some(report);
     }
     let report = kept.expect("at least one repeat");
@@ -172,7 +176,7 @@ fn main() {
     let scale = Scale::from_env();
     print_header(
         "E13 exp_candidates — incremental candidate pipeline",
-        "expiry-wheel index maintenance costs O(expiring entries) instead of O(live entries); flat CSR candidate views are schedule-neutral end to end",
+        "expiry-wheel index maintenance costs O(expiring entries), not O(live entries); flat CSR candidate views are schedule-neutral end to end",
         scale,
     );
 
@@ -182,9 +186,7 @@ fn main() {
         "Candidate pipeline cost per round (identical schedules required)",
         &[
             "workload",
-            "pipeline",
             "cand ms/round",
-            "speedup",
             "run ms/round",
             "live entries/round",
             "expired/round",
@@ -196,21 +198,10 @@ fn main() {
 
     for shape in shapes(scale) {
         let config = SimConfig::new(shape.rounds).continue_on_failure();
-        let rescan = profile(&shape, config.with_rescan_candidates(), || {
-            Box::new(MaxFlowScheduler::new())
-        });
         let incremental = profile(&shape, config, || Box::new(MaxFlowScheduler::new()));
 
-        // Gate (a): bit-identical reports across pipelines.
-        if rescan.report != incremental.report {
-            eprintln!(
-                "FAIL: {} — rescan vs incremental reports diverged",
-                shape.label
-            );
-            diverged = true;
-        }
-        // Gate (b): the legacy-shaped (bridged slice-of-vecs) scheduler path
-        // schedules exactly like the native CSR path.
+        // Gate (b): the bridged slice-of-vecs scheduler path schedules
+        // exactly like the native CSR path.
         let bridged = profile(&shape, config, || {
             Box::new(BridgedMaxFlow(MaxFlowScheduler::new()))
         });
@@ -220,15 +211,14 @@ fn main() {
                 || a.served_from_cache != b.served_from_cache
             {
                 eprintln!(
-                    "FAIL: {} — legacy-shaped path diverged at round {}",
+                    "FAIL: {} — bridged path diverged at round {}",
                     shape.label, a.round
                 );
                 diverged = true;
                 break;
             }
         }
-        // Gate (c): sharded thread counts serve the global maximum under the
-        // new pipeline.
+        // Gate (c): sharded thread counts serve the global maximum.
         for threads in [1usize, 2, 4] {
             let sharded = profile(&shape, config, || Box::new(ShardedMatcher::new(threads)));
             for (a, b) in sharded.report.rounds.iter().zip(&incremental.report.rounds) {
@@ -244,15 +234,13 @@ fn main() {
         }
 
         let config = format!("n{}r{}", shape.system.n(), shape.rounds);
-        for (series, profile) in [("cand/rescan", &rescan), ("cand/incremental", &incremental)] {
-            sink.record(
-                series,
-                shape.label,
-                &config,
-                profile.cand_ms_per_round,
-                profile.report.total_served(),
-            );
-        }
+        sink.record(
+            "cand/incremental",
+            shape.label,
+            &config,
+            incremental.cand_ms_per_round,
+            incremental.report.total_served(),
+        );
         sink.record(
             "run/incremental",
             shape.label,
@@ -261,30 +249,20 @@ fn main() {
             incremental.report.total_served(),
         );
 
-        let speedup = rescan.cand_ms_per_round / incremental.cand_ms_per_round.max(1e-9);
-        for (label, profile, speedup_cell) in [
-            ("legacy rescan", &rescan, "1.00x".to_string()),
-            ("incremental", &incremental, format!("{speedup:.2}x")),
-        ] {
-            table.push_row(vec![
-                shape.label.to_string(),
-                label.to_string(),
-                format!("{:.4}", profile.cand_ms_per_round),
-                speedup_cell,
-                format!("{:.3}", profile.total_ms_per_round),
-                format!("{:.0}", profile.live_avg),
-                format!("{:.1}", profile.expired_avg),
-                format!("{:.1}", profile.inserted_avg),
-                profile.report.total_served().to_string(),
-            ]);
-        }
+        table.push_row(vec![
+            shape.label.to_string(),
+            format!("{:.4}", incremental.cand_ms_per_round),
+            format!("{:.3}", incremental.total_ms_per_round),
+            format!("{:.0}", incremental.live_avg),
+            format!("{:.1}", incremental.expired_avg),
+            format!("{:.1}", incremental.inserted_avg),
+            incremental.report.total_served().to_string(),
+        ]);
         verdicts.push(format!(
-            "{}: candidate build+evict {:.4} → {:.4} ms/round ({:.2}x); \
-             eviction touches ~{:.1} expiring entries/round instead of sweeping ~{:.0} live ones",
+            "{}: candidate build+evict {:.4} ms/round; eviction touches ~{:.1} expiring \
+             entries/round of ~{:.0} live ones",
             shape.label,
-            rescan.cand_ms_per_round,
             incremental.cand_ms_per_round,
-            speedup,
             incremental.expired_avg,
             incremental.live_avg,
         ));
@@ -296,7 +274,7 @@ fn main() {
         eprintln!("FAIL: candidate pipeline changed a schedule");
         std::process::exit(1);
     }
-    println!("all pipelines and scheduler paths produced identical schedules");
+    println!("all scheduler paths produced identical schedules");
     println!("candidate-pipeline profile:");
     for verdict in &verdicts {
         println!("  {verdict}");

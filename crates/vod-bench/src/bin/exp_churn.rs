@@ -12,11 +12,12 @@
 //!   permanently and service degrades measurably — the gap is the
 //!   experiment's headline number;
 //! * **pipeline equivalence under churn** — the churned, repaired run is
-//!   replayed through the incremental, full-rescan, and sharded (1/2/4
-//!   thread) pipelines. Served and unserved counts and the per-round
-//!   repair stats must be identical everywhere; the run **exits non-zero
-//!   on any global-vs-sharded divergence**, extending the CI determinism
-//!   gates to live-population state;
+//!   replayed through every [`EngineVariant::GATE`] pipeline (incremental,
+//!   unstamped, and sharded at 1/2/4 threads). Served and unserved counts
+//!   and the per-round repair stats must be identical everywhere, and every
+//!   round's candidate-row memo must match fresh builds; the run **exits
+//!   non-zero on any divergence**, extending the CI determinism gates to
+//!   live-population state;
 //! * **dynamic reservations** — a u*-compensated heterogeneous fleet under
 //!   mild load runs with worst-case `u* + 1 − 2u_b` reservations held
 //!   forever, then with saturation-driven sizing: calm relays shrink their
@@ -27,7 +28,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
-use vod_analysis::Table;
+use vod_analysis::{EngineVariant, Table};
 use vod_bench::{print_header, BenchSink, Scale};
 use vod_core::{Bandwidth, Catalog, RandomPermutationAllocator, SystemParams, VideoSystem};
 use vod_sim::{RepairPlanner, RepairRoundStats, SimConfig, SimulationReport, Simulator};
@@ -110,21 +111,25 @@ type RoundTrace = Vec<(usize, usize, RepairRoundStats)>;
 
 /// Replays the churned, repaired scenario through one pipeline, returning
 /// its per-round trace.
-fn pipeline_trace<'a>(
-    sys: &'a VideoSystem,
+fn pipeline_trace(
+    sys: &VideoSystem,
     rounds: u64,
     budget: u32,
-    make: impl FnOnce(SimConfig) -> Simulator<'a>,
+    variant: EngineVariant,
 ) -> RoundTrace {
     let config = SimConfig::new(rounds)
         .continue_on_failure()
         .without_obstructions();
-    let mut sim = make(config);
+    let mut sim = variant.simulator(sys, config);
     sim.attach_churn(churn_model(sys));
     sim.attach_repair(RepairPlanner::for_system(sys, budget));
     let mut gen = SequentialViewing::new(sys.n(), sys.m(), NextVideoPolicy::RoundRobin, 1.3, 41);
     for _ in 0..rounds {
         sim.step(&mut gen);
+        if let Err(e) = sim.check_row_memo() {
+            eprintln!("STALE MEMO [{}] under churn: {e}", variant.label());
+            std::process::exit(1);
+        }
     }
     sim.report_so_far()
         .rounds
@@ -296,40 +301,14 @@ fn main() {
 
     // ---- Part 2: pipeline equivalence under churn (the CI gate) ----
     let gate_rounds = scale.pick(40u64, 80);
-    let reference = pipeline_trace(&sys, gate_rounds, budget, |config| {
-        Simulator::new(&sys, config)
-    });
-    let variants: Vec<(&str, RoundTrace)> = vec![
-        (
-            "rescan",
-            pipeline_trace(&sys, gate_rounds, budget, |config| {
-                Simulator::new(&sys, config.with_rescan_candidates())
-            }),
-        ),
-        (
-            "sharded-1",
-            pipeline_trace(&sys, gate_rounds, budget, |config| {
-                Simulator::with_sharded_scheduler(&sys, config, 1)
-            }),
-        ),
-        (
-            "sharded-2",
-            pipeline_trace(&sys, gate_rounds, budget, |config| {
-                Simulator::with_sharded_scheduler(&sys, config, 2)
-            }),
-        ),
-        (
-            "sharded-4",
-            pipeline_trace(&sys, gate_rounds, budget, |config| {
-                Simulator::with_sharded_scheduler(&sys, config, 4)
-            }),
-        ),
-    ];
-    for (label, trace) in &variants {
-        if trace != &reference {
+    let reference = pipeline_trace(&sys, gate_rounds, budget, EngineVariant::Incremental);
+    for variant in EngineVariant::GATE.into_iter().skip(1) {
+        let label = variant.label();
+        let trace = pipeline_trace(&sys, gate_rounds, budget, variant);
+        if trace != reference {
             let round = reference
                 .iter()
-                .zip(trace)
+                .zip(&trace)
                 .position(|(a, b)| a != b)
                 .unwrap_or(reference.len().min(trace.len()));
             eprintln!(
@@ -342,7 +321,7 @@ fn main() {
     }
     let gate_repaired: u64 = reference.iter().map(|(_, _, r)| r.repaired as u64).sum();
     println!(
-        "equivalence: incremental, rescan, and sharded (1/2/4) pipelines agree on served, unserved, and repair stats across {gate_rounds} churned rounds ({gate_repaired} repairs) ✓\n"
+        "equivalence: incremental, unstamped, and sharded (1/2/4) pipelines agree on served, unserved, and repair stats across {gate_rounds} churned rounds ({gate_repaired} repairs) ✓\n"
     );
 
     // ---- Part 3: dynamic relay reservations vs worst-case ----

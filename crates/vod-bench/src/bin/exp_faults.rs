@@ -19,16 +19,17 @@
 //!   — the gap is the experiment's headline number;
 //! * **pipeline equivalence under faults** — a fully loaded fault model
 //!   (degradation windows, flapping, drop/timeout hazards, drop surges)
-//!   plus retry and degradation is replayed through the incremental,
-//!   full-rescan, and sharded (1/2/4 thread) pipelines. Served, unserved,
-//!   delivery, and degradation stats must be identical everywhere; the
-//!   run **exits non-zero on any divergence**, extending the CI
-//!   determinism gates to faulted state.
+//!   plus retry and degradation is replayed through every
+//!   [`EngineVariant::GATE`] pipeline (incremental, unstamped, and sharded
+//!   at 1/2/4 threads). Served, unserved, delivery, and degradation stats
+//!   must be identical everywhere, and every round's candidate-row memo
+//!   must match fresh builds; the run **exits non-zero on any
+//!   divergence**, extending the CI determinism gates to faulted state.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
-use vod_analysis::Table;
+use vod_analysis::{EngineVariant, Table};
 use vod_bench::{print_header, BenchSink, Scale};
 use vod_core::{BoxId, RandomPermutationAllocator, SystemParams, VideoSystem};
 use vod_sim::{DegradationConfig, DeliveryPolicy, SimConfig, SimulationReport, Simulator};
@@ -142,20 +143,20 @@ type RoundTrace = Vec<(usize, usize, String, String)>;
 
 /// Replays the faulted scenario through one pipeline, returning its
 /// per-round trace.
-fn pipeline_trace<'a>(
-    sys: &'a VideoSystem,
-    rounds: u64,
-    make: impl FnOnce(SimConfig) -> Simulator<'a>,
-) -> RoundTrace {
+fn pipeline_trace(sys: &VideoSystem, rounds: u64, variant: EngineVariant) -> RoundTrace {
     let config = SimConfig::new(rounds)
         .continue_on_failure()
         .without_obstructions();
-    let mut sim = make(config);
+    let mut sim = variant.simulator(sys, config);
     sim.attach_faults(gate_model(sys));
     sim.attach_degradation(DegradationConfig::default());
     let mut gen = SequentialViewing::new(sys.n(), sys.m(), NextVideoPolicy::RoundRobin, 1.3, 41);
     for _ in 0..rounds {
         sim.step(&mut gen);
+        if let Err(e) = sim.check_row_memo() {
+            eprintln!("STALE MEMO [{}] under faults: {e}", variant.label());
+            std::process::exit(1);
+        }
     }
     sim.report_so_far()
         .rounds
@@ -396,38 +397,14 @@ fn main() {
 
     // ---- Part 3: pipeline equivalence under faults (the CI gate) ----
     let gate_rounds = scale.pick(40u64, 80);
-    let reference = pipeline_trace(&sys, gate_rounds, |config| Simulator::new(&sys, config));
-    let variants: Vec<(&str, RoundTrace)> = vec![
-        (
-            "rescan",
-            pipeline_trace(&sys, gate_rounds, |config| {
-                Simulator::new(&sys, config.with_rescan_candidates())
-            }),
-        ),
-        (
-            "sharded-1",
-            pipeline_trace(&sys, gate_rounds, |config| {
-                Simulator::with_sharded_scheduler(&sys, config, 1)
-            }),
-        ),
-        (
-            "sharded-2",
-            pipeline_trace(&sys, gate_rounds, |config| {
-                Simulator::with_sharded_scheduler(&sys, config, 2)
-            }),
-        ),
-        (
-            "sharded-4",
-            pipeline_trace(&sys, gate_rounds, |config| {
-                Simulator::with_sharded_scheduler(&sys, config, 4)
-            }),
-        ),
-    ];
-    for (label, trace) in &variants {
-        if trace != &reference {
+    let reference = pipeline_trace(&sys, gate_rounds, EngineVariant::Incremental);
+    for variant in EngineVariant::GATE.into_iter().skip(1) {
+        let label = variant.label();
+        let trace = pipeline_trace(&sys, gate_rounds, variant);
+        if trace != reference {
             let round = reference
                 .iter()
-                .zip(trace)
+                .zip(&trace)
                 .position(|(a, b)| a != b)
                 .unwrap_or(reference.len().min(trace.len()));
             eprintln!(
@@ -439,7 +416,7 @@ fn main() {
         }
     }
     println!(
-        "equivalence: incremental, rescan, and sharded (1/2/4) pipelines agree on served, unserved, delivery, and degradation stats across {gate_rounds} faulted rounds ✓"
+        "equivalence: incremental, unstamped, and sharded (1/2/4) pipelines agree on served, unserved, delivery, and degradation stats across {gate_rounds} faulted rounds ✓"
     );
 
     if let Err(e) = sink.flush() {

@@ -4,24 +4,14 @@
 //! Lemma 1's per-round instance is block-structured (one block per swarm,
 //! coupled through box capacities). This experiment replays identical
 //! multi-swarm round scripts through the global incremental matcher and the
-//! sharded matcher — at several thread counts and under both policy
-//! generations — verifying that every configuration serves exactly the same
-//! number of requests (sharding never changes feasibility) and reporting
-//! wall-clock per round.
+//! sharded matcher at several thread counts, verifying that every
+//! configuration serves exactly the same number of requests (sharding never
+//! changes feasibility) and reporting wall-clock per round.
 //!
-//! Two policy generations are compared head-to-head:
-//!
-//! * **baseline** (PR 2): demand-proportional budget split + rebuild-from-
-//!   scratch reconciliation (O(E) serial on every reconciled round);
-//! * **current** (PR 3): water-filling budget split on observed shard
-//!   deficits + persistent incremental reconciliation (per-round deltas on
-//!   a warm global network, O(Δ)).
-//!
-//! The reconciliation table reports, per workload and policy, the fraction
-//! of rounds that needed reconciliation at all, the mean wall-clock per
-//! reconciled round, full rebuilds, water-filling iterations, and the
-//! shard-phase deficit — the two headline numbers (reconciled-round
-//! fraction, reconcile time) should both drop under the current policies.
+//! The reconciliation table reports, per workload, the fraction of rounds
+//! that needed reconciliation at all, the mean wall-clock per reconciled
+//! round, full rebuilds of the persistent global network, water-filling
+//! iterations of the budget split, and the shard-phase deficit.
 //!
 //! On a single-core host the sharded column measures sharding overhead; the
 //! parallel speedup materializes with the core count. The run doubles as
@@ -165,7 +155,7 @@ fn main() {
     let scale = Scale::from_env();
     print_header(
         "E11 exp_sharding — per-swarm sharded scheduling",
-        "sharded solves + reconciliation serve exactly the global maximum (Lemma 1 feasibility unchanged); shard solves parallelize across swarms; deficit water-filling + persistent reconciliation cut the repair cost",
+        "sharded solves + reconciliation serve exactly the global maximum (Lemma 1 feasibility unchanged); shard solves parallelize across swarms",
         scale,
     );
     let cores = std::thread::available_parallelism()
@@ -186,10 +176,9 @@ fn main() {
         ],
     );
     let mut reconciliation = Table::new(
-        "Reconciliation profile (baseline: proportional split + rebuild; current: water-filling + persistent)",
+        "Reconciliation profile (1 thread)",
         &[
             "workload",
-            "policies",
             "recon rounds",
             "recon fraction",
             "recon ms/round",
@@ -199,7 +188,6 @@ fn main() {
             "peak deficit score",
         ],
     );
-    let mut verdicts: Vec<String> = Vec::new();
 
     for shape in shapes(scale) {
         let (reference_served, incremental_ms) =
@@ -219,52 +207,20 @@ fn main() {
             "1.00x".into(),
         ]);
 
-        // Baseline (PR 2) and current (PR 3) policy generations, 1 thread,
-        // profiled for the reconciliation table.
-        let base = profile_replay(&shape.script, || ShardedMatcher::baseline(1));
-        let cur = profile_replay(&shape.script, || ShardedMatcher::new(1));
-        for (label, profile) in [("baseline (PR 2)", &base), ("current (PR 3)", &cur)] {
-            if profile.served != reference_served {
-                diverged = true;
-            }
-            reconciliation.push_row(vec![
-                shape.label.to_string(),
-                label.to_string(),
-                format!("{}/{}", profile.reconcile_rounds, profile.rounds),
-                format!("{:.1}%", profile.reconcile_fraction() * 100.0),
-                format!("{:.4}", profile.reconcile_ms_per_round()),
-                profile.rebuilds.to_string(),
-                profile.split_iterations.to_string(),
-                profile.shard_unserved.to_string(),
-                profile.deficit_peak.to_string(),
-            ]);
-        }
-        // Timed through the same harness as every other timing row
-        // (Box<dyn Scheduler> + replay_script), so the speedup column
-        // compares like with like; profile_replay above only feeds the
-        // reconciliation counters.
-        let (baseline_served, baseline_ms) =
-            time_replay(&shape.script, || Box::new(ShardedMatcher::baseline(1)));
-        if baseline_served != reference_served {
+        let profile = profile_replay(&shape.script, || ShardedMatcher::new(1));
+        if profile.served != reference_served {
             diverged = true;
         }
-        timing.push_row(vec![
+        reconciliation.push_row(vec![
             shape.label.to_string(),
-            "sharded baseline (1 thread)".into(),
-            baseline_served.to_string(),
-            format!("{baseline_ms:.3}"),
-            format!("{:.2}x", incremental_ms / baseline_ms),
+            format!("{}/{}", profile.reconcile_rounds, profile.rounds),
+            format!("{:.1}%", profile.reconcile_fraction() * 100.0),
+            format!("{:.4}", profile.reconcile_ms_per_round()),
+            profile.rebuilds.to_string(),
+            profile.split_iterations.to_string(),
+            profile.shard_unserved.to_string(),
+            profile.deficit_peak.to_string(),
         ]);
-        verdicts.push(format!(
-            "{}: reconciled rounds {:.1}% → {:.1}%, reconcile ms/round {:.4} → {:.4}, rebuilds {} → {}",
-            shape.label,
-            base.reconcile_fraction() * 100.0,
-            cur.reconcile_fraction() * 100.0,
-            base.reconcile_ms_per_round(),
-            cur.reconcile_ms_per_round(),
-            base.rebuilds,
-            cur.rebuilds,
-        ));
 
         for threads in [1usize, 2, 4, 8] {
             let (served, ms) =
@@ -296,10 +252,6 @@ fn main() {
         std::process::exit(1);
     }
     println!("\nall sharded configurations served exactly the global maximum");
-    println!("baseline (PR 2) → current (PR 3) reconciliation deltas:");
-    for verdict in &verdicts {
-        println!("  {verdict}");
-    }
     if let Err(err) = sink.flush() {
         eprintln!("FAIL: could not write BENCH_JSON: {err}");
         std::process::exit(1);

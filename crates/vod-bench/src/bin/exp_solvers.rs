@@ -1,16 +1,13 @@
-//! E14 — Solver backends: word-parallel kernels vs their scalar twins.
+//! E14 — Solver backends head to head.
 //!
-//! Lemma 1 is solved once per round; after the candidate pipeline became
-//! incremental (PR 5) the max-flow solver inner loops are the dominant
-//! per-round cost. This experiment replays identical keyed round scripts
-//! through [`MaxFlowScheduler`] wired to each [`vod_flow::MaxFlowSolve`]
-//! backend and times them head-to-head:
+//! Lemma 1 is solved once per round, and the max-flow solver inner loops
+//! are a dominant per-round cost. This experiment replays identical keyed
+//! round scripts through [`MaxFlowScheduler`] wired to each of the three
+//! [`vod_flow::MaxFlowSolve`] backends and times them head-to-head:
 //!
-//! * `dinic` (word-parallel level BFS on Lemma-1 shapes) vs `dinic-scalar`;
-//! * `hopcroft-karp` (capacitated word-parallel matcher) vs
-//!   `hopcroft-karp-scalar` (PR 5 sub-box expansion path);
-//! * `push-relabel` (gap + global-relabel heuristics) vs
-//!   `push-relabel-basic` (gap only).
+//! * `dinic` (word-parallel level BFS on Lemma-1 shapes);
+//! * `hopcroft-karp` (capacitated word-parallel matcher);
+//! * `push-relabel` (gap + global-relabel heuristics).
 //!
 //! Four workload shapes cover the regimes the schedulers meet in the
 //! simulator: multi-swarm churn (many small blocks), a flash crowd (one
@@ -151,29 +148,13 @@ fn shapes(scale: Scale) -> Vec<Shape> {
 /// Constructor of one boxed solver backend.
 type MakeSolver = fn() -> Box<dyn MaxFlowSolve>;
 
-/// The solver line-up: each word-parallel backend next to its scalar twin.
+/// The solver line-up.
 fn backends() -> Vec<(&'static str, MakeSolver)> {
     vec![
         ("dinic", || Box::new(Dinic::new())),
-        ("dinic-scalar", || Box::new(Dinic::scalar())),
         ("hopcroft-karp", || Box::new(HopcroftKarpSolve::new())),
-        ("hopcroft-karp-scalar", || {
-            Box::new(HopcroftKarpSolve::scalar())
-        }),
         ("push-relabel", || Box::new(PushRelabel::new())),
-        ("push-relabel-basic", || Box::new(PushRelabel::basic())),
     ]
-}
-
-/// The scalar twin each word-parallel backend is compared against in the
-/// speedup column.
-fn scalar_twin(series: &str) -> Option<&'static str> {
-    match series {
-        "dinic" => Some("dinic-scalar"),
-        "hopcroft-karp" => Some("hopcroft-karp-scalar"),
-        "push-relabel" => Some("push-relabel-basic"),
-        _ => None,
-    }
 }
 
 /// One replay: per-round served counts (replay-invariant) plus the best
@@ -200,8 +181,8 @@ fn profile(script: &RoundScript, make: &fn() -> Box<dyn MaxFlowSolve>) -> (Vec<u
 fn main() {
     let scale = Scale::from_env();
     print_header(
-        "E14 exp_solvers — word-parallel solver kernels",
-        "all max-flow backends serve identical per-round schedules (Lemma 1 has a unique optimum value); word-parallel kernels beat their scalar twins where rows are dense",
+        "E14 exp_solvers — max-flow solver backends",
+        "all max-flow backends serve identical per-round schedules (Lemma 1 has a unique optimum value)",
         scale,
     );
 
@@ -209,13 +190,7 @@ fn main() {
     let mut diverged = false;
     let mut table = Table::new(
         "Solver wall-clock per round (identical served sequences required)",
-        &[
-            "workload",
-            "solver",
-            "served",
-            "ms/round",
-            "speedup vs scalar twin",
-        ],
+        &["workload", "solver", "served", "ms/round", "vs dinic"],
     );
     let mut verdicts: Vec<String> = Vec::new();
 
@@ -247,25 +222,20 @@ fn main() {
                 .expect("backend measured")
         };
         for (series, _, ms) in &measured {
-            let speedup = match scalar_twin(series) {
-                Some(twin) => format!("{:.2}x", ms_of(twin) / ms.max(1e-9)),
-                None => "—".to_string(),
-            };
             table.push_row(vec![
                 shape.label.to_string(),
                 series.to_string(),
                 total_served.to_string(),
                 format!("{ms:.4}"),
-                speedup,
+                format!("{:.2}x", ms / ms_of("dinic").max(1e-9)),
             ]);
             sink.record(series, shape.label, &shape.config, *ms, total_served as u64);
         }
         verdicts.push(format!(
-            "{}: hopcroft-karp {:.2}x vs scalar, dinic {:.2}x vs scalar, push-relabel {:.2}x vs basic",
+            "{}: hopcroft-karp {:.2}x, push-relabel {:.2}x the dinic time",
             shape.label,
-            ms_of("hopcroft-karp-scalar") / ms_of("hopcroft-karp").max(1e-9),
-            ms_of("dinic-scalar") / ms_of("dinic").max(1e-9),
-            ms_of("push-relabel-basic") / ms_of("push-relabel").max(1e-9),
+            ms_of("hopcroft-karp") / ms_of("dinic").max(1e-9),
+            ms_of("push-relabel") / ms_of("dinic").max(1e-9),
         ));
     }
 
@@ -276,7 +246,7 @@ fn main() {
         std::process::exit(1);
     }
     println!("all backends served identical per-round sequences");
-    println!("word-parallel vs scalar twins:");
+    println!("relative cost:");
     for verdict in &verdicts {
         println!("  {verdict}");
     }

@@ -10,8 +10,10 @@
 //! * **at-threshold**: a configuration satisfying Theorem 1's
 //!   `c > (2µ²−1)/(u−1)` is verified exhaustively — every admissible
 //!   sequence is served, and every explored transition is stepped through
-//!   the incremental, full-rescan, and sharded (1/2/4 thread) pipelines
-//!   with bit-equality of the normalized round metrics asserted;
+//!   the incremental, unstamped, and sharded (1/2/4 thread) pipelines
+//!   with bit-equality of the normalized round metrics asserted, and
+//!   every explored state's candidate-row memo checked against fresh
+//!   builds;
 //! * **below-threshold**: a starved configuration must fail, and the first
 //!   failing sequence is shrunk to a locally minimal counterexample that is
 //!   printed and re-verified by replay;

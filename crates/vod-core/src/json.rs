@@ -418,7 +418,10 @@ macro_rules! codec_uint {
                 Json::Num(*self as f64)
             }
             fn from_json(json: &Json) -> Result<Self, JsonError> {
-                Ok(json.as_u64()? as $t)
+                let x = json.as_u64()?;
+                <$t>::try_from(x).map_err(|_| {
+                    JsonError(format!("{x} does not fit in {}", stringify!($t)))
+                })
             }
         }
     )*};

@@ -1,21 +1,24 @@
-//! Reusable flow-graph arena: the solver-facing network representation.
+//! The residual flow network every solver works on.
+//!
+//! The connection-matching feasibility question of Lemma 1 is answered by a
+//! maximum-flow computation over integer capacities: the caller scales the
+//! paper's rational capacities (`u_b`, `1/c`) by `c` so that one unit of
+//! flow is one stripe connection.
 //!
 //! The per-round scheduling loop solves one max-flow instance per simulated
-//! round, and consecutive instances are nearly identical. Rebuilding a
-//! [`crate::graph::FlowNetwork`] each round costs one heap allocation per
-//! node (its adjacency is a `Vec<Vec<usize>>`). The [`FlowArena`] stores the
-//! same residual graph in flat arrays — an edge list with intrusive
-//! linked-list adjacency (`head`/`next`) — so [`FlowArena::clear`] and
-//! [`FlowArena::rebuild_from`] reuse every allocation: after warm-up, a
-//! steady-state round performs **zero** heap allocations in the flow layer.
+//! round, and consecutive instances are nearly identical. The [`FlowArena`]
+//! stores the residual graph in flat arrays — an edge list with intrusive
+//! linked-list adjacency (`head`/`next`) — so [`FlowArena::clear`] reuses
+//! every allocation: after warm-up, a steady-state round performs **zero**
+//! heap allocations in the flow layer.
 //!
 //! Edge indices are assigned in insertion order and the residual twin of edge
-//! `e` is always `e ^ 1`, exactly as in [`crate::graph::FlowNetwork`], so the
-//! two representations are index-compatible and flows can be copied between
-//! them ([`FlowArena::rebuild_from`], [`crate::graph::FlowNetwork::sync_flows_from`]).
+//! `e` is always `e ^ 1`.
 
-use crate::graph::{FlowNetwork, NodeId};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Index of a node in a [`FlowArena`].
+pub type NodeId = usize;
 
 /// Sentinel terminating an adjacency list.
 const NIL: i64 = -1;
@@ -217,33 +220,6 @@ impl FlowArena {
         }
     }
 
-    /// Rebuilds this arena as an index-exact copy of `network`, reusing the
-    /// arena's allocations. Edge indices, capacities, and current flow all
-    /// carry over.
-    pub fn rebuild_from(&mut self, network: &FlowNetwork) {
-        self.clear(network.node_count());
-        // FlowNetwork adjacency preserves insertion order per node but not
-        // globally, so recover each forward edge's source node first.
-        let mut sources = vec![0usize; network.edge_count()];
-        for node in 0..network.node_count() {
-            for &idx in network.edges_from(node) {
-                if idx % 2 == 0 {
-                    sources[idx] = node;
-                }
-            }
-        }
-        for idx in (0..network.edge_count()).step_by(2) {
-            let edge = network.edge(idx);
-            let new_idx = self.add_edge(sources[idx], edge.to, edge.original_cap);
-            debug_assert_eq!(new_idx, idx);
-            // Carry the current flow over.
-            let flow = edge.original_cap - edge.cap;
-            if flow != 0 {
-                self.push(idx, flow);
-            }
-        }
-    }
-
     /// Marks the nodes reachable from `start` in the residual graph (edges
     /// with strictly positive residual capacity) into `seen`, reusing `seen`
     /// and `stack` as scratch. After a maximum flow this is the source side
@@ -341,6 +317,7 @@ mod tests {
         let e = a.add_edge(0, 1, 5);
         a.push(e, 3);
         assert_eq!(a.residual(e), 2);
+        assert_eq!(a.residual(e ^ 1), 3);
         assert_eq!(a.flow_on(e), 3);
         a.push(e, -3);
         assert_eq!(a.flow_on(e), 0);
@@ -395,25 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_from_network_is_index_exact() {
-        let mut g = FlowNetwork::with_nodes(4);
-        let e0 = g.add_edge(0, 1, 4);
-        let e1 = g.add_edge(1, 2, 3);
-        let _ = g.add_edge(2, 3, 2);
-        g.push(e0, 2);
-        g.push(e1, 1);
-
-        let mut a = FlowArena::new();
-        a.rebuild_from(&g);
-        assert_eq!(a.node_count(), 4);
-        assert_eq!(a.edge_count(), g.edge_count());
-        for idx in 0..g.edge_count() {
-            assert_eq!(a.residual(idx), g.residual(idx), "edge {idx}");
-            assert_eq!(a.target(idx), g.target(idx), "edge {idx}");
-        }
-    }
-
-    #[test]
     fn residual_reachability_matches_network_semantics() {
         let mut a = FlowArena::new();
         a.clear(3);
@@ -454,5 +412,23 @@ mod tests {
         assert_eq!(a.net_outflow(0), 2);
         assert_eq!(a.net_outflow(1), 0);
         assert_eq!(a.net_outflow(2), -2);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must be non-negative")]
+    fn negative_capacity_rejected() {
+        let mut a = FlowArena::new();
+        a.clear(2);
+        a.add_edge(0, 1, -1);
+    }
+
+    #[test]
+    fn add_node_grows_graph() {
+        let mut a = FlowArena::new();
+        a.clear(1);
+        let n = a.add_node();
+        assert_eq!(n, 1);
+        assert_eq!(a.node_count(), 2);
+        a.add_edge(0, n, 1);
     }
 }

@@ -21,8 +21,7 @@
 //! shard-local remap (`shard.rs` renumbers each shard's boxes contiguously
 //! from zero), so a shard's working set occupies the low words of every row.
 
-use crate::arena::FlowArena;
-use crate::graph::NodeId;
+use crate::arena::{FlowArena, NodeId};
 
 /// Number of bits per storage word.
 const WORD_BITS: usize = 64;

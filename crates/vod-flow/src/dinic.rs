@@ -15,15 +15,13 @@
 //! levels it assigns are exactly the scalar BFS distances for every node the
 //! blocking-flow DFS can usefully visit (nodes past the sink's layer are
 //! left unlabelled, which only prunes provably dead DFS branches), so the
-//! resulting flows are **bit-identical** to the scalar path — the property
+//! resulting flows are **bit-identical** to the scalar path — the unit
 //! tests assert this edge by edge. Non-Lemma-1 graphs (relay two-hop
 //! networks, the general textbook instances) fall back to the scalar BFS
-//! automatically; [`Dinic::scalar`] forces the fallback everywhere, as a
-//! baseline for benchmarks and equivalence tests.
+//! automatically.
 
-use crate::arena::FlowArena;
+use crate::arena::{FlowArena, NodeId};
 use crate::bitset::{BipartiteShape, BitSet, NONE};
-use crate::graph::{FlowNetwork, NodeId};
 use crate::solver::MaxFlowSolve;
 use std::collections::VecDeque;
 use vod_obs::{Stage, TraceHandle};
@@ -36,8 +34,6 @@ pub struct Dinic {
     /// Per-node cursor into the adjacency list (edge index, `-1` exhausted).
     cursor: Vec<i64>,
     queue: VecDeque<NodeId>,
-    /// Forces the scalar level BFS even on Lemma-1-shaped arenas.
-    force_scalar: bool,
     /// Cached Lemma-1 shape analysis (keyed on the arena version).
     shape: BipartiteShape,
     /// Per request row: matched box column this phase (`u32::MAX` free).
@@ -61,16 +57,6 @@ impl Dinic {
     /// scalar everywhere else).
     pub fn new() -> Self {
         Dinic::default()
-    }
-
-    /// Creates a solver that always uses the scalar level BFS — the
-    /// pre-word-parallel behaviour, kept as a benchmark baseline and for
-    /// bit-identity cross-checks.
-    pub fn scalar() -> Self {
-        Dinic {
-            force_scalar: true,
-            ..Dinic::default()
-        }
     }
 
     /// Breadth-first construction of the level graph over residual edges.
@@ -226,21 +212,19 @@ impl MaxFlowSolve for Dinic {
         assert_ne!(source, sink, "source and sink must differ");
         // Refresh the cached shape analysis when the arena's structure
         // changed; the word-parallel BFS applies only to Lemma-1 shapes.
-        let use_bits = !self.force_scalar && {
-            if self.shape.version != arena.version()
-                || self.shape.source != source
-                || self.shape.sink != sink
-            {
-                let clock = self.tracer.begin();
-                self.shape.analyze(arena, source, sink);
-                self.tracer.end(
-                    clock,
-                    Stage::SolverAnalyze,
-                    self.shape.requests.len() as u64,
-                );
-            }
-            self.shape.valid
-        };
+        if self.shape.version != arena.version()
+            || self.shape.source != source
+            || self.shape.sink != sink
+        {
+            let clock = self.tracer.begin();
+            self.shape.analyze(arena, source, sink);
+            self.tracer.end(
+                clock,
+                Stage::SolverAnalyze,
+                self.shape.requests.len() as u64,
+            );
+        }
+        let use_bits = self.shape.valid;
         let mut flow = 0;
         loop {
             let sink_reachable = if use_bits {
@@ -275,96 +259,116 @@ impl MaxFlowSolve for Dinic {
     }
 }
 
-/// Convenience wrapper: runs Dinic on a [`FlowNetwork`] and returns the flow
-/// value, leaving the network's residual capacities updated. Allocates a
-/// temporary arena — reuse a [`FlowArena`] plus a [`Dinic`] instance directly
-/// on hot paths.
-pub fn max_flow(graph: &mut FlowNetwork, source: NodeId, sink: NodeId) -> i64 {
-    let mut arena = FlowArena::new();
-    arena.rebuild_from(graph);
-    let flow = Dinic::new().max_flow(&mut arena, source, sink);
-    graph.sync_flows_from(&arena);
-    flow
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Builds an arena with `nodes` nodes and the given edges.
+    fn arena(nodes: usize, edges: &[(usize, usize, i64)]) -> FlowArena {
+        let mut a = FlowArena::new();
+        a.clear(nodes);
+        for &(from, to, cap) in edges {
+            a.add_edge(from, to, cap);
+        }
+        a
+    }
+
+    fn max_flow(a: &mut FlowArena, source: NodeId, sink: NodeId) -> i64 {
+        Dinic::new().max_flow(a, source, sink)
+    }
+
+    /// Appends an edge between two fresh, unreachable nodes: it changes no
+    /// flow but breaks the Lemma-1 shape, so Dinic takes its scalar level
+    /// BFS on the result.
+    fn force_scalar_path(a: &mut FlowArena) {
+        let x = a.add_node();
+        let y = a.add_node();
+        a.add_edge(x, y, 1);
+    }
+
     #[test]
     fn single_edge() {
-        let mut g = FlowNetwork::with_nodes(2);
-        g.add_edge(0, 1, 7);
+        let mut g = arena(2, &[(0, 1, 7)]);
         assert_eq!(max_flow(&mut g, 0, 1), 7);
     }
 
     #[test]
     fn series_takes_minimum() {
-        let mut g = FlowNetwork::with_nodes(3);
-        g.add_edge(0, 1, 5);
-        g.add_edge(1, 2, 3);
+        let mut g = arena(3, &[(0, 1, 5), (1, 2, 3)]);
         assert_eq!(max_flow(&mut g, 0, 2), 3);
     }
 
     #[test]
     fn parallel_paths_add_up() {
-        let mut g = FlowNetwork::with_nodes(4);
-        g.add_edge(0, 1, 2);
-        g.add_edge(0, 2, 3);
-        g.add_edge(1, 3, 2);
-        g.add_edge(2, 3, 3);
+        let mut g = arena(4, &[(0, 1, 2), (0, 2, 3), (1, 3, 2), (2, 3, 3)]);
         assert_eq!(max_flow(&mut g, 0, 3), 5);
     }
 
     #[test]
     fn classic_textbook_network() {
         // CLRS figure 26.1-style network, max flow 23.
-        let mut g = FlowNetwork::with_nodes(6);
-        g.add_edge(0, 1, 16);
-        g.add_edge(0, 2, 13);
-        g.add_edge(1, 2, 10);
-        g.add_edge(2, 1, 4);
-        g.add_edge(1, 3, 12);
-        g.add_edge(3, 2, 9);
-        g.add_edge(2, 4, 14);
-        g.add_edge(4, 3, 7);
-        g.add_edge(3, 5, 20);
-        g.add_edge(4, 5, 4);
+        let mut g = arena(
+            6,
+            &[
+                (0, 1, 16),
+                (0, 2, 13),
+                (1, 2, 10),
+                (2, 1, 4),
+                (1, 3, 12),
+                (3, 2, 9),
+                (2, 4, 14),
+                (4, 3, 7),
+                (3, 5, 20),
+                (4, 5, 4),
+            ],
+        );
         assert_eq!(max_flow(&mut g, 0, 5), 23);
     }
 
     #[test]
     fn disconnected_sink_gives_zero() {
-        let mut g = FlowNetwork::with_nodes(4);
-        g.add_edge(0, 1, 10);
-        g.add_edge(2, 3, 10);
+        let mut g = arena(4, &[(0, 1, 10), (2, 3, 10)]);
         assert_eq!(max_flow(&mut g, 0, 3), 0);
     }
 
     #[test]
     fn flow_value_matches_min_cut() {
-        let mut g = FlowNetwork::with_nodes(5);
-        g.add_edge(0, 1, 4);
-        g.add_edge(0, 2, 2);
-        g.add_edge(1, 2, 1);
-        g.add_edge(1, 3, 2);
-        g.add_edge(2, 3, 3);
-        g.add_edge(3, 4, 5);
+        let mut g = arena(
+            5,
+            &[
+                (0, 1, 4),
+                (0, 2, 2),
+                (1, 2, 1),
+                (1, 3, 2),
+                (2, 3, 3),
+                (3, 4, 5),
+            ],
+        );
         let f = max_flow(&mut g, 0, 4);
         let side = g.residual_reachable(0);
         assert!(side[0] && !side[4]);
-        assert_eq!(g.cut_capacity(&side), f);
+        // Capacity of the cut: forward edges leaving the source side.
+        let cut: i64 = (0..g.edge_count())
+            .step_by(2)
+            .filter(|&e| side[g.target(e ^ 1)] && !side[g.target(e)])
+            .map(|e| g.edge(e).original_cap)
+            .sum();
+        assert_eq!(cut, f);
     }
 
     #[test]
     fn flow_conservation_at_internal_nodes() {
-        let mut g = FlowNetwork::with_nodes(5);
-        g.add_edge(0, 1, 4);
-        g.add_edge(0, 2, 2);
-        g.add_edge(1, 3, 2);
-        g.add_edge(2, 3, 3);
-        g.add_edge(1, 2, 2);
-        g.add_edge(3, 4, 5);
+        let mut g = arena(
+            5,
+            &[
+                (0, 1, 4),
+                (0, 2, 2),
+                (1, 3, 2),
+                (2, 3, 3),
+                (1, 2, 2),
+                (3, 4, 5),
+            ],
+        );
         let f = max_flow(&mut g, 0, 4);
         assert_eq!(g.net_outflow(0), f);
         assert_eq!(g.net_outflow(4), -f);
@@ -375,13 +379,9 @@ mod tests {
 
     #[test]
     fn rerun_after_reset_gives_same_value() {
-        let mut g = FlowNetwork::with_nodes(4);
-        g.add_edge(0, 1, 3);
-        g.add_edge(1, 2, 2);
-        g.add_edge(0, 2, 1);
-        g.add_edge(2, 3, 5);
+        let mut g = arena(4, &[(0, 1, 3), (1, 2, 2), (0, 2, 1), (2, 3, 5)]);
         let a = max_flow(&mut g, 0, 3);
-        g.reset();
+        g.reset_flow();
         let b = max_flow(&mut g, 0, 3);
         assert_eq!(a, b);
         assert_eq!(a, 3);
@@ -405,8 +405,9 @@ mod tests {
     #[test]
     fn bit_levels_give_flows_identical_to_scalar() {
         // Lemma-1 shape: 3 boxes (budgets 2,1,1), 5 requests with assorted
-        // candidate sets; solved twice from scratch, the bit path must leave
-        // exactly the same flow on every edge as the scalar path.
+        // candidate sets; solved twice from scratch (once with the shape
+        // broken by an inert extra edge), the bit path must leave exactly
+        // the same flow on every edge as the scalar path.
         let build = |arena: &mut FlowArena| {
             arena.clear(10);
             arena.add_edge(0, 1, 2);
@@ -423,12 +424,17 @@ mod tests {
         let mut b = FlowArena::new();
         build(&mut a);
         build(&mut b);
-        let fa = Dinic::new().max_flow(&mut a, 0, 9);
-        let fb = Dinic::scalar().max_flow(&mut b, 0, 9);
+        force_scalar_path(&mut b);
+        let mut bits = Dinic::new();
+        let mut scalar = Dinic::new();
+        let fa = bits.max_flow(&mut a, 0, 9);
+        let fb = scalar.max_flow(&mut b, 0, 9);
+        assert!(bits.shape.valid && !scalar.shape.valid);
         assert_eq!(fa, fb);
         for idx in 0..a.edge_count() {
             assert_eq!(a.residual(idx), b.residual(idx), "edge {idx}");
         }
+        assert_eq!(b.residual(a.edge_count()), 1, "inert edge stays idle");
     }
 
     #[test]
@@ -452,13 +458,18 @@ mod tests {
         let mut b = FlowArena::new();
         build(&mut a);
         build(&mut b);
-        let fa = Dinic::new().max_flow(&mut a, 0, 6);
-        let fb = Dinic::scalar().max_flow(&mut b, 0, 6);
+        force_scalar_path(&mut b);
+        let mut bits = Dinic::new();
+        let mut scalar = Dinic::new();
+        let fa = bits.max_flow(&mut a, 0, 6);
+        let fb = scalar.max_flow(&mut b, 0, 6);
+        assert!(bits.shape.valid && !scalar.shape.valid);
         assert_eq!(fa, fb);
         assert_eq!(fa, 1, "one additional unit on top of the warm one");
         for idx in 0..a.edge_count() {
             assert_eq!(a.residual(idx), b.residual(idx), "edge {idx}");
         }
+        assert_eq!(b.residual(a.edge_count()), 1, "inert edge stays idle");
     }
 
     #[test]

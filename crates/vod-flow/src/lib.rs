@@ -6,9 +6,8 @@
 //! box's upload capacity — to a maximum-flow feasibility question on a
 //! bipartite network. This crate provides:
 //!
-//! * [`graph`] — the integer-capacity flow network representation;
-//! * [`arena`] — the reusable solver-facing [`FlowArena`] (flat storage,
-//!   zero steady-state allocation);
+//! * [`arena`] — the integer-capacity residual network [`FlowArena`] every
+//!   solver works on (flat storage, zero steady-state allocation);
 //! * [`candidates`] — the pooled flat CSR candidate representation
 //!   ([`CandidateBuf`] / borrowed [`CandidateView`], with optional per-row
 //!   change stamps) shared by every candidate-consuming stage;
@@ -20,9 +19,9 @@
 //!   level BFS on Lemma-1-shaped arenas;
 //! * [`push_relabel`] — FIFO push–relabel with gap + global-relabel
 //!   heuristics (cross-check / benchmarks);
-//! * [`hopcroft_karp`] — bipartite matching for the unit-capacity case, the
-//!   word-parallel capacitated [`BitHopcroftKarp`], plus the
-//!   [`HopcroftKarpSolve`] adapter exposing both as a [`MaxFlowSolve`];
+//! * [`hopcroft_karp`] — the word-parallel capacitated bipartite matcher
+//!   [`BitHopcroftKarp`], plus the [`HopcroftKarpSolve`] adapter exposing it
+//!   as a [`MaxFlowSolve`];
 //! * [`matching`] — the connection-matching problem builder and solution
 //!   extraction;
 //! * [`hall`] — obstruction (Hall-violator) extraction from minimum cuts;
@@ -31,10 +30,10 @@
 //!   forwarding capacity) with obstruction witnesses naming starved
 //!   reservations;
 //! * [`shard`] — per-swarm sharding of a round's instance: pooled
-//!   partitioning, deterministic budget splitting (demand-proportional,
-//!   deficit water-filling, or per-(shard, box) targeted), reserved-relay
-//!   lending across shards, maximality-restoring reconciliation
-//!   (rebuilding or persistent-incremental), and shard-local obstruction
+//!   partitioning, a deterministic budget split (per-(shard, box) backlog
+//!   water-filling, demand-proportional remainder), reserved-relay lending
+//!   across shards, maximality-restoring reconciliation (persistent
+//!   incremental, with a rebuilding fallback), and shard-local obstruction
 //!   extraction;
 //! * [`expander`] — sampled expansion estimation of allocation graphs.
 //!
@@ -64,7 +63,6 @@ pub mod bitset;
 pub mod candidates;
 pub mod dinic;
 pub mod expander;
-pub mod graph;
 pub mod hall;
 pub mod hopcroft_karp;
 pub mod matching;
@@ -73,14 +71,13 @@ pub mod relay;
 pub mod shard;
 pub mod solver;
 
-pub use arena::{ArenaEdge, FlowArena};
+pub use arena::{ArenaEdge, FlowArena, NodeId};
 pub use bitset::{BitAdjacency, BitSet};
 pub use candidates::{CandidateBuf, CandidateView, NO_STAMP};
 pub use dinic::Dinic;
 pub use expander::{sample_expansion, ExpansionProfile};
-pub use graph::{Edge, FlowNetwork, NodeId};
 pub use hall::{check_subset, find_obstruction, find_obstruction_in, verify_lemma1, Obstruction};
-pub use hopcroft_karp::{BitHopcroftKarp, HopcroftKarp, HopcroftKarpSolve};
+pub use hopcroft_karp::{BitHopcroftKarp, HopcroftKarpSolve};
 pub use matching::{ConnectionMatching, ConnectionProblem};
 pub use push_relabel::PushRelabel;
 pub use relay::{RelayMatching, RelayNetwork, RelayObstruction, RelayView, StarvedReservation};

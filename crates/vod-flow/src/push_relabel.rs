@@ -14,12 +14,9 @@
 //! every [`MaxFlowSolve`] implementation it operates on the arena's current
 //! residual state (so it warm-starts from an existing flow) and reuses its
 //! height/excess/queue/BFS buffers across calls.
-//! [`PushRelabel::basic`] disables global relabelling (the historical
-//! behaviour) for benchmarks and cross-checks.
 
-use crate::arena::FlowArena;
+use crate::arena::{FlowArena, NodeId};
 use crate::bitset::BitSet;
-use crate::graph::{FlowNetwork, NodeId};
 use crate::solver::MaxFlowSolve;
 use std::collections::VecDeque;
 use vod_obs::{Stage, TraceHandle};
@@ -35,8 +32,6 @@ pub struct PushRelabel {
     in_queue: Vec<bool>,
     height_count: Vec<usize>,
     queue: VecDeque<NodeId>,
-    /// Enables the periodic global-relabel heuristic.
-    global_relabel: bool,
     /// Relabel operations since the last global relabel.
     relabels_since: usize,
     /// Number of global relabels performed over this solver's lifetime
@@ -69,7 +64,6 @@ impl PushRelabel {
             in_queue: Vec::new(),
             height_count: Vec::new(),
             queue: VecDeque::new(),
-            global_relabel: true,
             relabels_since: 0,
             global_relabels: 0,
             dist_sink: Vec::new(),
@@ -77,15 +71,6 @@ impl PushRelabel {
             visited: BitSet::new(),
             bfs_queue: Vec::new(),
             tracer: TraceHandle::off(),
-        }
-    }
-
-    /// Creates a solver with global relabelling disabled — the historical
-    /// gap-heuristic-only behaviour, kept as a benchmark baseline.
-    pub fn basic() -> Self {
-        PushRelabel {
-            global_relabel: false,
-            ..PushRelabel::new()
         }
     }
 
@@ -227,9 +212,7 @@ impl MaxFlowSolve for PushRelabel {
         // one O(E) sweep replaces Θ(n) single-step lifts on shapes (like the
         // adversarial expanders) where whole layers must climb past n.
         let relabel_period = n.max(16);
-        if self.global_relabel {
-            self.do_global_relabel(arena, source, sink);
-        }
+        self.do_global_relabel(arena, source, sink);
 
         while let Some(v) = self.queue.pop_front() {
             self.in_queue[v] = false;
@@ -293,11 +276,9 @@ impl MaxFlowSolve for PushRelabel {
                     }
                     // Periodic global relabel: reset every height to its
                     // exact residual distance.
-                    if self.global_relabel {
-                        self.relabels_since += 1;
-                        if self.relabels_since >= relabel_period {
-                            self.do_global_relabel(arena, source, sink);
-                        }
+                    self.relabels_since += 1;
+                    if self.relabels_since >= relabel_period {
+                        self.do_global_relabel(arena, source, sink);
                     }
                 }
             }
@@ -307,11 +288,7 @@ impl MaxFlowSolve for PushRelabel {
     }
 
     fn name(&self) -> &'static str {
-        if self.global_relabel {
-            "push-relabel"
-        } else {
-            "push-relabel-basic"
-        }
+        "push-relabel"
     }
 
     fn attach_tracer(&mut self, tracer: &TraceHandle) {
@@ -319,91 +296,83 @@ impl MaxFlowSolve for PushRelabel {
     }
 }
 
-/// Convenience wrapper: runs push–relabel on a [`FlowNetwork`] and returns
-/// the flow value, leaving the network's residual capacities updated.
-/// Allocates a temporary arena — reuse a [`FlowArena`] plus a
-/// [`PushRelabel`] instance directly on hot paths.
-pub fn max_flow(graph: &mut FlowNetwork, source: NodeId, sink: NodeId) -> i64 {
-    let mut arena = FlowArena::new();
-    arena.rebuild_from(graph);
-    let flow = PushRelabel::new().max_flow(&mut arena, source, sink);
-    graph.sync_flows_from(&arena);
-    flow
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Dinic;
+
+    /// Builds an arena with `nodes` nodes and the given edges.
+    fn arena(nodes: usize, edges: &[(usize, usize, i64)]) -> FlowArena {
+        let mut a = FlowArena::new();
+        a.clear(nodes);
+        for &(from, to, cap) in edges {
+            a.add_edge(from, to, cap);
+        }
+        a
+    }
+
+    fn max_flow(a: &mut FlowArena, source: NodeId, sink: NodeId) -> i64 {
+        PushRelabel::new().max_flow(a, source, sink)
+    }
+
+    fn dinic_flow(mut a: FlowArena, source: NodeId, sink: NodeId) -> i64 {
+        Dinic::new().max_flow(&mut a, source, sink)
+    }
 
     #[test]
     fn single_edge() {
-        let mut g = FlowNetwork::with_nodes(2);
-        g.add_edge(0, 1, 9);
+        let mut g = arena(2, &[(0, 1, 9)]);
         assert_eq!(max_flow(&mut g, 0, 1), 9);
     }
 
     #[test]
     fn series_takes_minimum() {
-        let mut g = FlowNetwork::with_nodes(3);
-        g.add_edge(0, 1, 5);
-        g.add_edge(1, 2, 3);
+        let mut g = arena(3, &[(0, 1, 5), (1, 2, 3)]);
         assert_eq!(max_flow(&mut g, 0, 2), 3);
     }
 
     #[test]
     fn classic_textbook_network() {
-        let mut g = FlowNetwork::with_nodes(6);
-        g.add_edge(0, 1, 16);
-        g.add_edge(0, 2, 13);
-        g.add_edge(1, 2, 10);
-        g.add_edge(2, 1, 4);
-        g.add_edge(1, 3, 12);
-        g.add_edge(3, 2, 9);
-        g.add_edge(2, 4, 14);
-        g.add_edge(4, 3, 7);
-        g.add_edge(3, 5, 20);
-        g.add_edge(4, 5, 4);
+        let mut g = arena(
+            6,
+            &[
+                (0, 1, 16),
+                (0, 2, 13),
+                (1, 2, 10),
+                (2, 1, 4),
+                (1, 3, 12),
+                (3, 2, 9),
+                (2, 4, 14),
+                (4, 3, 7),
+                (3, 5, 20),
+                (4, 5, 4),
+            ],
+        );
         assert_eq!(max_flow(&mut g, 0, 5), 23);
     }
 
     #[test]
     fn disconnected_sink_gives_zero() {
-        let mut g = FlowNetwork::with_nodes(4);
-        g.add_edge(0, 1, 10);
-        g.add_edge(2, 3, 10);
+        let mut g = arena(4, &[(0, 1, 10), (2, 3, 10)]);
         assert_eq!(max_flow(&mut g, 0, 3), 0);
     }
 
     #[test]
     fn agrees_with_dinic_on_a_bipartite_instance() {
         // 3 boxes (capacity 2 each) serving 5 requests, some unreachable.
-        let build = || {
-            let mut g = FlowNetwork::with_nodes(10);
-            let s = 0;
-            let t = 9;
-            for b in 1..=3 {
-                g.add_edge(s, b, 2);
-            }
-            let pairs = [(1, 4), (1, 5), (2, 5), (2, 6), (3, 6), (3, 7)];
-            for &(b, r) in &pairs {
-                g.add_edge(b, r, 1);
-            }
-            for r in 4..=8 {
-                g.add_edge(r, t, 1);
-            }
-            g
-        };
-        let mut a = build();
-        let mut b = build();
-        assert_eq!(max_flow(&mut a, 0, 9), crate::dinic::max_flow(&mut b, 0, 9));
+        let mut edges: Vec<(usize, usize, i64)> = (1..=3).map(|b| (0, b, 2)).collect();
+        for (b, r) in [(1, 4), (1, 5), (2, 5), (2, 6), (3, 6), (3, 7)] {
+            edges.push((b, r, 1));
+        }
+        edges.extend((4..=8).map(|r| (r, 9, 1)));
+        let mut g = arena(10, &edges);
+        assert_eq!(max_flow(&mut g, 0, 9), dinic_flow(arena(10, &edges), 0, 9));
     }
 
     #[test]
     fn unsaturable_excess_does_not_inflate_flow() {
         // Source pushes 10 into node 1, but only 1 can reach the sink.
-        let mut g = FlowNetwork::with_nodes(3);
-        g.add_edge(0, 1, 10);
-        g.add_edge(1, 2, 1);
+        let mut g = arena(3, &[(0, 1, 10), (1, 2, 1)]);
         assert_eq!(max_flow(&mut g, 0, 2), 1);
     }
 
@@ -415,33 +384,26 @@ mod tests {
         *seed >> 33
     }
 
-    fn random_network(seed: u64, n: usize, edges: usize) -> FlowNetwork {
+    fn random_edges(seed: u64, n: usize, edges: usize) -> Vec<(usize, usize, i64)> {
         let mut s = seed;
-        let mut g = FlowNetwork::with_nodes(n);
+        let mut out = Vec::new();
         for _ in 0..edges {
             let from = (lcg(&mut s) as usize) % (n - 1);
             let to = 1 + (lcg(&mut s) as usize) % (n - 1);
             if from != to {
-                g.add_edge(from, to, (lcg(&mut s) % 7 + 1) as i64);
+                out.push((from, to, (lcg(&mut s) % 7 + 1) as i64));
             }
         }
-        g
+        out
     }
 
     #[test]
-    fn global_relabel_and_basic_agree_with_dinic() {
+    fn global_relabel_agrees_with_dinic() {
         for seed in 0..12u64 {
-            let g = random_network(0xC0FFEE ^ seed, 24, 80);
-            let mut c = g.clone();
-            let mut arena = FlowArena::new();
-
-            arena.rebuild_from(&g);
-            let with_gr = PushRelabel::new().max_flow(&mut arena, 0, 23);
-            arena.rebuild_from(&g);
-            let basic = PushRelabel::basic().max_flow(&mut arena, 0, 23);
-            let dinic = crate::dinic::max_flow(&mut c, 0, 23);
+            let edges = random_edges(0xC0FFEE ^ seed, 24, 80);
+            let with_gr = max_flow(&mut arena(24, &edges), 0, 23);
+            let dinic = dinic_flow(arena(24, &edges), 0, 23);
             assert_eq!(with_gr, dinic, "seed {seed}: global-relabel diverged");
-            assert_eq!(basic, dinic, "seed {seed}: basic diverged");
         }
     }
 
@@ -450,26 +412,10 @@ mod tests {
         // A long chain forces heights to climb far past their initial values,
         // so periodic relabels trigger beyond the initial sweep.
         let n = 64;
-        let mut g = FlowNetwork::with_nodes(n);
-        for v in 0..n - 1 {
-            g.add_edge(v, v + 1, 2);
-        }
-        let mut arena = FlowArena::new();
-        arena.rebuild_from(&g);
+        let edges: Vec<(usize, usize, i64)> = (0..n - 1).map(|v| (v, v + 1, 2)).collect();
         let mut solver = PushRelabel::new();
-        assert_eq!(solver.max_flow(&mut arena, 0, n - 1), 2);
+        assert_eq!(solver.max_flow(&mut arena(n, &edges), 0, n - 1), 2);
         assert!(solver.global_relabel_count() >= 1);
-
-        let mut basic = PushRelabel::basic();
-        arena.rebuild_from(&g);
-        assert_eq!(basic.max_flow(&mut arena, 0, n - 1), 2);
-        assert_eq!(basic.global_relabel_count(), 0);
-    }
-
-    #[test]
-    fn solver_names_distinguish_heuristic_modes() {
-        assert_eq!(PushRelabel::new().name(), "push-relabel");
-        assert_eq!(PushRelabel::basic().name(), "push-relabel-basic");
     }
 
     #[test]
@@ -480,27 +426,16 @@ mod tests {
         let boxes = 20;
         let requests = 40;
         let n = boxes + requests + 2;
-        let build = || {
-            let mut g = FlowNetwork::with_nodes(n);
-            let (s, t) = (0, n - 1);
-            for b in 0..boxes {
-                g.add_edge(s, 1 + b, 2);
-            }
-            for b in 0..boxes {
-                for r in 0..requests {
-                    g.add_edge(1 + b, 1 + boxes + r, 1);
-                }
-            }
+        let (s, t) = (0, n - 1);
+        let mut edges: Vec<(usize, usize, i64)> = (0..boxes).map(|b| (s, 1 + b, 2)).collect();
+        for b in 0..boxes {
             for r in 0..requests {
-                g.add_edge(1 + boxes + r, t, 1);
+                edges.push((1 + b, 1 + boxes + r, 1));
             }
-            g
-        };
-        let mut arena = FlowArena::new();
-        arena.rebuild_from(&build());
-        let flow = PushRelabel::new().max_flow(&mut arena, 0, n - 1);
-        let mut d = build();
-        assert_eq!(flow, crate::dinic::max_flow(&mut d, 0, n - 1));
+        }
+        edges.extend((0..requests).map(|r| (1 + boxes + r, t, 1)));
+        let flow = max_flow(&mut arena(n, &edges), s, t);
+        assert_eq!(flow, dinic_flow(arena(n, &edges), s, t));
         assert_eq!(flow, (boxes * 2) as i64);
     }
 

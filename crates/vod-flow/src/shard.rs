@@ -10,28 +10,28 @@
 //!    shard key (the scheduler uses the video id, so one shard per swarm) and
 //!    computes, per shard, the set of boxes its candidate lists touch and how
 //!    many requests demand each box — all in flat pooled buffers;
-//! 2. [`ShardedArena::split_budgets_waterfill`] divides each box's upload
-//!    budget across the shards that can use it. Slots are first *water-filled*
-//!    onto the shards with the largest observed backlog (deficit) from recent
-//!    rounds — deterministic tie-break on the shard ordinal, i.e. ascending
-//!    swarm id — and the remainder is split proportionally to residual
-//!    demand. With no deficit history the split degrades exactly to the
-//!    demand-proportional policy of [`ShardedArena::split_budgets`]. Either
-//!    way the per-shard subproblems become capacity-disjoint and can be
-//!    solved in parallel without coordination;
-//! 3. reconciliation repairs whatever the budget split got wrong, in one of
-//!    two flavours:
-//!    * [`ShardedArena::reconcile`] rebuilds the *global* Lemma-1 network
-//!      from scratch inside a pooled [`FlowArena`], preloads the flow found
-//!      by the shard solves, and augments from every still-unmatched
-//!      request (the PR 2 baseline — O(E) serial per reconciled round);
+//! 2. [`ShardedArena::split_budgets_targeted`] divides each box's upload
+//!    budget across the shards that can use it. Slots are first
+//!    *water-filled* onto the (shard, box) pairs with the largest observed
+//!    backlog from recent rounds — deterministic tie-break on the shard
+//!    ordinal, i.e. ascending swarm id — and the remainder is split
+//!    proportionally to residual demand; with no backlog history the split
+//!    is purely demand-proportional. Either way the per-shard subproblems
+//!    become capacity-disjoint and can be solved in parallel without
+//!    coordination;
+//! 3. reconciliation repairs whatever the budget split got wrong:
 //!    * [`ShardedArena::reconcile_keyed`] keeps the global network (and its
 //!      flow) **alive across rounds**: requests carry a stable opaque key,
 //!      each call diffs the incoming round against the tracked instance
 //!      (arrivals, retirements, candidate-edge changes, capacity changes)
 //!      and warm-starts the augmentation from the previous round's residual
 //!      state — mirroring what the incremental matcher does for the global
-//!      scheduling path, so a reconciled round costs O(Δ) instead of O(E).
+//!      scheduling path, so a reconciled round costs O(Δ) instead of O(E);
+//!    * [`ShardedArena::reconcile`] rebuilds the *global* Lemma-1 network
+//!      from scratch inside a pooled [`FlowArena`], preloads the flow found
+//!      by the shard solves, and augments from every still-unmatched
+//!      request — O(E) serial, the fallback when the shard phase starved
+//!      so much that the carried flow is stale.
 //!
 //!    Because any valid flow extends to a maximum flow by residual
 //!    augmentation (which may *reroute* shard-assigned flow), the reconciled
@@ -108,7 +108,7 @@ pub struct ReconcileStats {
 }
 
 /// Outcome of one budget split
-/// ([`ShardedArena::split_budgets_waterfill`]).
+/// ([`ShardedArena::split_budgets_targeted`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SplitStats {
     /// Boxes whose budget was split this round (boxes demanded by at least
@@ -119,8 +119,8 @@ pub struct SplitStats {
     pub contested_boxes: usize,
     /// Water-filling grant steps performed across all contested boxes: each
     /// step hands one upload slot to the shard with the largest remaining
-    /// backlog. Zero when the deficit history is empty (the split then
-    /// degrades to the demand-proportional policy).
+    /// backlog. Zero when the backlog history is empty (the split is then
+    /// purely demand-proportional).
     pub iterations: usize,
 }
 
@@ -200,7 +200,7 @@ struct GlobalSlot {
 /// Pooled per-swarm sharding of a round's flow network.
 ///
 /// All storage is flat and reused across rounds: after warm-up a
-/// steady-state `partition` + `split_budgets_waterfill` + `reconcile_keyed`
+/// steady-state `partition` + `split_budgets_targeted` + `reconcile_keyed`
 /// cycle performs no heap allocation.
 ///
 /// ```
@@ -213,7 +213,8 @@ struct GlobalSlot {
 /// let cands = vec![vec![BoxId(0), BoxId(1)], vec![BoxId(0)]];
 /// let mut arena = ShardedArena::new();
 /// arena.partition(&[0, 1], &cands, caps.len());
-/// arena.split_budgets(&caps);
+/// // An empty backlog history splits each budget by demand.
+/// arena.split_budgets_targeted(&caps, &[]);
 ///
 /// // Suppose the shard phase put request 0 on box 0 and starved request 1:
 /// // reconciliation reroutes request 0 to box 1 and repairs request 1.
@@ -241,8 +242,6 @@ pub struct ShardedArena {
     wf_grant: Vec<u32>,
     wf_share: Vec<u32>,
     wf_want: Vec<u64>,
-    shard_demand: Vec<u64>,
-    slot_targets: Vec<u64>,
     // Relay-lending pools (valid until the next `partition` call): per
     // (shard, relay) forwarding demand and grant, plus per-shard ranges.
     relay_box_pool: Vec<u32>,
@@ -403,100 +402,30 @@ impl ShardedArena {
     }
 
     /// Splits each box's upload budget across the shards demanding it,
-    /// proportionally to demand.
-    ///
-    /// Each shard receives `⌊cap_b · d_s(b) / D(b)⌋` connections of box `b`
-    /// (capped at its demand `d_s(b)`), where `D(b)` sums the demand over all
-    /// shards; the leftover goes to the shard with the highest demand
-    /// (lowest shard index on ties). The split is therefore a deterministic
-    /// function of the partition and the capacities, and per-box budgets sum
-    /// to at most `cap_b` — the per-shard subproblems are capacity-disjoint.
-    ///
-    /// Equivalent to [`ShardedArena::split_budgets_waterfill`] with an empty
-    /// deficit history.
-    pub fn split_budgets(&mut self, capacities: &[u32]) {
-        self.split_budgets_waterfill(capacities, &[]);
-    }
-
-    /// Splits each box's upload budget across the shards demanding it,
-    /// water-filling on observed shard deficits.
-    ///
-    /// `deficits[s]` is the (decayed) unserved backlog of shard `s` — indexed
-    /// by shard ordinal, i.e. ascending shard key — accumulated by the caller
-    /// over recent rounds; missing entries count as zero. A shard's backlog
-    /// is first apportioned over the boxes it demands, proportionally to its
-    /// demand there (`want_s(b) = min(d_s(b), ⌈f_s · d_s(b)/D_s⌉)` where
-    /// `D_s` is the shard's total demand), so a deficit of `f` claims about
-    /// `f` extra slots across the shard's neighbourhood — not `f` per box,
-    /// which would over-correct and oscillate. Then, per box:
-    ///
-    /// 1. **backlog water-filling** — upload slots are granted one at a time
-    ///    to the shard with the largest remaining backlog (`want_s(b)` minus
-    ///    what it was already granted), with a deterministic tie-break on
-    ///    the lowest shard ordinal (ascending swarm id), so starved shards
-    ///    are topped up first;
-    /// 2. **proportional remainder** — leftover slots are split across the
-    ///    residual demand exactly like [`ShardedArena::split_budgets`]
-    ///    (floors, leftover to the largest residual demand, lowest ordinal
-    ///    on ties).
-    ///
-    /// With an all-zero (or empty) deficit history phase 1 grants nothing and
-    /// the split is bit-identical to the demand-proportional policy. Per-box
-    /// grants always sum to exactly `cap_b`, so the per-shard subproblems
-    /// remain capacity-disjoint and the schedule stays a deterministic
-    /// function of the partition, capacities, and deficits — independent of
-    /// thread count.
-    ///
-    /// The per-shard scalar signal cannot express *where* a shard was
-    /// starved; callers tracking direct per-(shard, box) starvation should
-    /// use [`ShardedArena::split_budgets_targeted`], for which this method
-    /// is the demand-share-apportioning wrapper.
-    pub fn split_budgets_waterfill(&mut self, capacities: &[u32], deficits: &[u64]) -> SplitStats {
-        // Per-shard total demand, for apportioning each shard's deficit over
-        // its boxes.
-        self.shard_demand.clear();
-        for info in &self.shards {
-            let total: u64 = self.demand_pool[info.box_start as usize..info.box_end as usize]
-                .iter()
-                .map(|&d| d as u64)
-                .sum();
-            self.shard_demand.push(total);
-        }
-        // Apportion each shard's backlog over its boxes by demand share
-        // (ceil so a small backlog still claims a slot): a deficit of `f`
-        // claims about `f` extra slots across the shard's neighbourhood —
-        // not `f` per box, which would over-correct and oscillate.
-        let mut targets = std::mem::take(&mut self.slot_targets);
-        targets.clear();
-        for (slot, _) in self.box_pool.iter().enumerate() {
-            let demand = self.demand_pool[slot] as u64;
-            let shard = self.slot_shard[slot] as usize;
-            let deficit = deficits.get(shard).copied().unwrap_or(0);
-            let total = self.shard_demand[shard].max(1);
-            targets.push((deficit * demand).div_ceil(total));
-        }
-        let stats = self.split_budgets_targeted(capacities, &targets);
-        self.slot_targets = targets;
-        stats
-    }
-
-    /// Splits each box's upload budget across the shards demanding it,
-    /// water-filling on direct per-(shard, box) backlog targets.
+    /// water-filling on per-(shard, box) backlog targets.
     ///
     /// `slot_targets[i]` is the backlog target of pool slot `i` — the pool
     /// is the concatenation, in shard order, of each shard's `boxes` view
     /// (see [`ShardedArena::shard`]), so slot `i` names one (shard, box)
-    /// pair and callers with per-(shard, box) starvation history can feed
-    /// it directly instead of apportioning a per-shard scalar. Targets
-    /// above a slot's demand are clamped to the demand. An empty slice (or
-    /// all zeros) degrades bit-identically to
-    /// [`ShardedArena::split_budgets`].
+    /// pair. Targets above a slot's demand are clamped to the demand;
+    /// missing entries count as zero. Then, per box:
     ///
-    /// The two phases and tie-breaks are exactly those of
-    /// [`ShardedArena::split_budgets_waterfill`]: backlog water-filling
-    /// (largest remaining backlog first, lowest shard ordinal on ties),
-    /// then the demand-proportional remainder. Per-box grants always sum to
-    /// exactly `cap_b`.
+    /// 1. **backlog water-filling** — upload slots are granted one at a time
+    ///    to the shard with the largest remaining backlog (target minus what
+    ///    it was already granted), with a deterministic tie-break on the
+    ///    lowest shard ordinal (ascending swarm id), so starved shards are
+    ///    topped up first;
+    /// 2. **proportional remainder** — each shard receives
+    ///    `⌊left_b · r_s(b) / R(b)⌋` of the `left_b` remaining slots, where
+    ///    `r_s(b)` is its residual demand (demand minus phase-1 grant) and
+    ///    `R(b)` their sum; the leftover goes to the largest residual demand
+    ///    (lowest shard ordinal on ties).
+    ///
+    /// With an empty (or all-zero) target slice phase 1 grants nothing and
+    /// the split is purely demand-proportional. Per-box grants always sum to
+    /// exactly `cap_b`, so the per-shard subproblems are capacity-disjoint
+    /// and the split is a deterministic function of the partition,
+    /// capacities, and targets — independent of thread count.
     pub fn split_budgets_targeted(
         &mut self,
         capacities: &[u32],
@@ -576,8 +505,7 @@ impl ShardedArena {
             }
 
             // Phase 2: demand-proportional split of the remainder over the
-            // residual demand (bit-identical to `split_budgets` when phase 1
-            // granted nothing).
+            // residual demand.
             let mut residual_total: u64 = 0;
             for off in 0..group_len {
                 let slot = self.by_box[i + off].1 as usize;
@@ -788,10 +716,10 @@ impl ShardedArena {
     /// decomposition the result is a maximum matching, identical in size to
     /// a cold global solve. `assignment` is updated in place.
     ///
-    /// This is the PR 2 baseline (O(E) serial per call) and the fallback for
-    /// callers without stable request keys; steady-state callers should use
-    /// [`ShardedArena::reconcile_keyed`], which patches a persistent network
-    /// instead. Calling this invalidates the persistent instance (the next
+    /// This is O(E) serial per call: the fallback for callers without
+    /// stable request keys and for rounds whose carried flow is stale;
+    /// steady-state callers should use [`ShardedArena::reconcile_keyed`],
+    /// which patches a persistent network instead. Calling this invalidates the persistent instance (the next
     /// keyed call rebuilds it).
     pub fn reconcile(
         &mut self,
@@ -1622,7 +1550,7 @@ mod tests {
         let cands = vec![vec![b(0)], vec![b(0)], vec![b(0), b(1)]];
         sharded.partition(&shard_of, &cands, 2);
         let caps = vec![3u32, 2];
-        sharded.split_budgets(&caps);
+        sharded.split_budgets_targeted(&caps, &[]);
         let s0 = sharded.shard(0);
         let s1 = sharded.shard(1);
         // Box 0: shard 0 floor(3·2/3) = 2, shard 1 floor(3·1/3) = 1 → sums
@@ -1650,7 +1578,7 @@ mod tests {
         let cands = vec![vec![b(0)], vec![b(0)], vec![b(0)], vec![b(0)]];
         sharded.partition(&shard_of, &cands, 1);
         let caps = vec![2u32];
-        let stats = sharded.split_budgets_waterfill(&caps, &[0, 5]);
+        let stats = sharded.split_budgets_targeted(&caps, &[0, 5]);
         // Both slots go to the starved shard (ordinal 1, key 9).
         assert_eq!(sharded.shard(0).budget, &[0]);
         assert_eq!(sharded.shard(1).budget, &[2]);
@@ -1766,8 +1694,7 @@ mod tests {
 
     #[test]
     fn waterfill_with_zero_deficits_matches_proportional() {
-        let mut proportional = ShardedArena::new();
-        let mut waterfill = ShardedArena::new();
+        let mut sharded = ShardedArena::new();
         let shard_of = vec![0u64, 0, 1, 1, 2];
         let cands = vec![
             vec![b(0), b(1)],
@@ -1777,17 +1704,25 @@ mod tests {
             vec![b(2)],
         ];
         let caps = vec![3u32, 1, 2];
-        proportional.partition(&shard_of, &cands, 3);
-        proportional.split_budgets(&caps);
-        waterfill.partition(&shard_of, &cands, 3);
-        let stats = waterfill.split_budgets_waterfill(&caps, &[0, 0, 0]);
+        sharded.partition(&shard_of, &cands, 3);
+        let pool_len: usize = (0..3).map(|s| sharded.shard(s).boxes.len()).sum();
+        let stats = sharded.split_budgets_targeted(&caps, &vec![0; pool_len]);
         assert_eq!(stats.iterations, 0);
-        for s in 0..proportional.shard_count() {
-            assert_eq!(
-                proportional.shard(s).budget,
-                waterfill.shard(s).budget,
-                "shard {s}"
-            );
+        // Demand-proportional by hand. Box 0 (cap 3): demands 2 and 1 →
+        // 2 + 1. Box 1 (cap 1): demands 1 and 1 → floors 0 + 0, leftover
+        // to the lowest ordinal. Box 2 (cap 2): demands 2 and 1 → floors
+        // 1 + 0, leftover to the larger demand.
+        assert_eq!(sharded.shard(0).boxes, &[0, 1]);
+        assert_eq!(sharded.shard(0).budget, &[2, 1]);
+        assert_eq!(sharded.shard(1).boxes, &[0, 2, 1]);
+        assert_eq!(sharded.shard(1).budget, &[1, 2, 0]);
+        assert_eq!(sharded.shard(2).boxes, &[2]);
+        assert_eq!(sharded.shard(2).budget, &[0]);
+        // An empty target slice is the same split.
+        let zero: Vec<Vec<u32>> = (0..3).map(|s| sharded.shard(s).budget.to_vec()).collect();
+        sharded.split_budgets_targeted(&caps, &[]);
+        for (s, budget) in zero.iter().enumerate() {
+            assert_eq!(sharded.shard(s).budget, budget.as_slice(), "shard {s}");
         }
     }
 
@@ -1801,7 +1736,7 @@ mod tests {
         let shard_of = vec![0u64, 0, 0, 1];
         let cands = vec![vec![b(0)], vec![b(0)], vec![b(0)], vec![b(0)]];
         sharded.partition(&shard_of, &cands, 1);
-        let stats = sharded.split_budgets_waterfill(&[4], &[1, 0]);
+        let stats = sharded.split_budgets_targeted(&[4], &[1, 0]);
         assert_eq!(stats.iterations, 1);
         assert_eq!(sharded.shard(0).budget, &[3]);
         assert_eq!(sharded.shard(1).budget, &[1]);
@@ -2070,7 +2005,7 @@ mod tests {
                 .map(|i| vec![b((i + round) % 8), b((i + round + 3) % 8)])
                 .collect();
             sharded.partition(&shard_of, &cands, 8);
-            sharded.split_budgets(&caps);
+            sharded.split_budgets_targeted(&caps, &[]);
             let mut assignment = vec![None; 12];
             sharded.reconcile(&caps, &cands, &mut assignment);
             assert_eq!(

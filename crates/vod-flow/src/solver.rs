@@ -11,12 +11,9 @@
 //! * `max_flow` augments that flow to a maximum flow and returns only the
 //!   **additional** flow pushed during this call;
 //! * solvers own their scratch buffers and reuse them across calls, so a
-//!   steady-state solve performs no heap allocation (the cross-checking
-//!   [`crate::hopcroft_karp::HopcroftKarpSolve`] adapter is the documented
-//!   exception: it rebuilds its matching graph per call).
+//!   steady-state solve performs no heap allocation.
 
-use crate::arena::FlowArena;
-use crate::graph::NodeId;
+use crate::arena::{FlowArena, NodeId};
 use vod_obs::TraceHandle;
 
 /// A maximum-flow algorithm over a reusable [`FlowArena`].

@@ -27,8 +27,8 @@
 //!   bucket drains (current-start check);
 //! * per-stripe lists keep strict insertion order with ordered removals, so
 //!   the candidate rows the engine builds from them are **bit-identical**
-//!   (content *and* order) to what the legacy full-rescan pipeline
-//!   produced — schedules are provably unchanged;
+//!   (content *and* order) to a brute-force recompute from per-box caches
+//!   (`tests/candidate_pipeline.rs` keeps that model as the oracle);
 //! * every content change stamps the stripe with the current round
 //!   ([`CandidateIndex::stripe_stamp`]); the engine forwards these stamps
 //!   down the scheduler stack as [`vod_flow::CandidateView`] row stamps, so
@@ -38,7 +38,6 @@ use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use vod_core::json::{obj, Json, JsonCodec, JsonError};
 use vod_core::{BoxId, StripeId};
-use vod_obs::{eq_ignoring_timing, TimingNeutral};
 
 type EntryMap = HashMap<u128, u64, BuildHasherDefault<vod_core::FxHasher64>>;
 
@@ -54,13 +53,12 @@ struct WheelRecord {
     expiry: u64,
 }
 
-/// Per-round observability of the candidate pipeline, threaded into
-/// [`crate::metrics::RoundMetrics::candidates`].
-///
-/// Equality ignores [`CandidateStats::build_ns`]: the bit-equality gates
-/// (sharded/relay equivalence, legacy-vs-incremental pipeline comparison)
-/// compare structure, never wall-clock.
-#[derive(Clone, Copy, Debug, Default)]
+/// Per-round observability of the candidate index, threaded into
+/// [`crate::metrics::RoundMetrics::candidates`]. Time spent on the index
+/// and the rows is recorded by the tracer's
+/// [`vod_obs::Stage::CandidateMaintain`] and [`vod_obs::Stage::CandidateFill`]
+/// spans.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CandidateStats {
     /// Live (stripe, box) cache-index entries after this round's
     /// maintenance.
@@ -70,30 +68,7 @@ pub struct CandidateStats {
     /// New entries inserted this round (refreshes of existing entries do
     /// not count).
     pub inserted: usize,
-    /// Wall-clock nanoseconds spent on index maintenance plus candidate-row
-    /// construction this round (excluded from equality).
-    pub build_ns: u64,
 }
-
-impl TimingNeutral for CandidateStats {
-    type Structural = (usize, usize, usize);
-
-    fn structural(&self) -> Self::Structural {
-        (self.index_entries, self.expired, self.inserted)
-    }
-
-    fn scrub(&mut self) {
-        self.build_ns = 0;
-    }
-}
-
-impl PartialEq for CandidateStats {
-    fn eq(&self, other: &Self) -> bool {
-        eq_ignoring_timing(self, other)
-    }
-}
-
-impl Eq for CandidateStats {}
 
 impl JsonCodec for CandidateStats {
     fn to_json(&self) -> Json {
@@ -101,7 +76,6 @@ impl JsonCodec for CandidateStats {
             ("index_entries", self.index_entries.to_json()),
             ("expired", self.expired.to_json()),
             ("inserted", self.inserted.to_json()),
-            ("build_ns", self.build_ns.to_json()),
         ])
     }
     fn from_json(json: &Json) -> Result<Self, JsonError> {
@@ -109,7 +83,6 @@ impl JsonCodec for CandidateStats {
             index_entries: usize::from_json(json.field("index_entries")?)?,
             expired: usize::from_json(json.field("expired")?)?,
             inserted: usize::from_json(json.field("inserted")?)?,
-            build_ns: u64::from_json(json.field("build_ns")?)?,
         })
     }
 }
@@ -144,8 +117,8 @@ pub struct CandidateIndex {
     /// Stripes per video, for dense stripe-slot arithmetic.
     stripes_per_video: u16,
     /// Per-stripe holder lists `(box, start)`, dense by stripe slot, kept
-    /// in strict insertion order (ordered removals) so candidate rows match
-    /// the legacy rescan pipeline bit for bit.
+    /// in strict insertion order (ordered removals) so candidate rows are a
+    /// deterministic function of the insertion history.
     lists: Vec<Vec<(BoxId, u64)>>,
     /// Per-stripe change stamp: `round + 1` of the last content change
     /// (insert, refresh, or expiry); 0 = never touched.
@@ -245,7 +218,7 @@ impl CandidateIndex {
                     .iter()
                     .position(|&(b, _)| b == record.box_id)
                     .expect("live entry is listed");
-                // Ordered removal keeps the legacy insertion order intact.
+                // Ordered removal keeps the insertion order intact.
                 list.remove(pos);
                 self.touched[slot] = now + 1;
                 self.live -= 1;
@@ -545,21 +518,16 @@ mod tests {
     }
 
     #[test]
-    fn candidate_stats_equality_ignores_timing() {
+    fn candidate_stats_round_trip_json() {
         let a = CandidateStats {
             index_entries: 4,
             expired: 1,
             inserted: 2,
-            build_ns: 123,
         };
+        let parsed = CandidateStats::from_json(&a.to_json()).unwrap();
+        assert_eq!(parsed, a);
         let mut b = a;
-        b.build_ns = 999_999;
-        assert_eq!(a, b);
         b.expired = 2;
         assert_ne!(a, b);
-        // JSON round-trips every field, including the timing.
-        let parsed = CandidateStats::from_json(&a.to_json()).unwrap();
-        assert_eq!(parsed.build_ns, 123);
-        assert_eq!(parsed, a);
     }
 }

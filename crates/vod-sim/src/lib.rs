@@ -14,7 +14,7 @@
 //!   wheel behind each round's `B(x)` supplier sets;
 //! * [`swarm`] — per-video swarm tracking and preload-stripe rotation;
 //! * [`scheduler`] — max-flow, greedy, random, incremental, and per-swarm
-//!   sharded schedulers (parallel shard solves, deficit water-filling
+//!   sharded schedulers (parallel shard solves, starvation water-filling
 //!   budget splits, persistent incremental reconciliation), plus the
 //!   relay subsystem's [`RelayBroker`] (live `u*`-compensation:
 //!   reservation re-planning under churn, per-relay utilization, starved
@@ -49,14 +49,14 @@ pub use delivery::{
     Admission, DegradationConfig, DegradationController, DegradationRoundStats, DeliveryOutcome,
     DeliveryPolicy, DeliveryRoundStats, DeliverySummary, DeliveryTracker,
 };
-pub use engine::{CandidateMode, FailurePolicy, SimConfig, Simulator};
+pub use engine::{FailurePolicy, SimConfig, Simulator};
 pub use metrics::{FailureRecord, PlaybackRecord, RoundMetrics, SimulationReport};
 pub use repair::{RepairPlanner, RepairRoundStats, RepairTransfer};
 pub use request::{PlaybackState, RequestKind, StripePlan, StripeRequest};
 pub use scheduler::{
-    GreedyScheduler, IncrementalMatcher, MaxFlowScheduler, RandomScheduler, ReconcilePolicy,
-    RelayBroker, RelayEvent, RelayRoundStats, RelayUtilization, RequestKey, Scheduler,
-    ShardRoundStats, ShardedMatcher, SplitPolicy,
+    GreedyScheduler, IncrementalMatcher, MaxFlowScheduler, RandomScheduler, RelayBroker,
+    RelayEvent, RelayRoundStats, RelayUtilization, RequestKey, Scheduler, ShardRoundStats,
+    ShardedMatcher,
 };
 pub use swarm::{Swarm, SwarmTracker};
 // Observability surface: the tracer types callers hand to

@@ -19,7 +19,7 @@ pub use incremental::{IncrementalMatcher, RequestKey};
 pub use maxflow::MaxFlowScheduler;
 pub use random_pick::RandomScheduler;
 pub use relay_broker::{RelayBroker, RelayEvent, RelayRoundStats, RelayUtilization};
-pub use sharded::{ReconcilePolicy, ShardRoundStats, ShardedMatcher, SplitPolicy};
+pub use sharded::{ShardRoundStats, ShardedMatcher};
 
 use vod_core::BoxId;
 use vod_flow::{CandidateView, RelayLendStats, RelayView};

@@ -70,13 +70,12 @@ pub mod prelude {
         RelayObstruction, RelayView, ShardedArena, SplitStats, StarvedReservation, NO_STAMP,
     };
     pub use vod_sim::{
-        Admission, CandidateIndex, CandidateMode, CandidateStats, DegradationConfig,
-        DegradationController, DegradationRoundStats, DeliveryOutcome, DeliveryPolicy,
-        DeliveryRoundStats, DeliverySummary, DeliveryTracker, FailurePolicy, GreedyScheduler,
-        IncrementalMatcher, MaxFlowScheduler, RandomScheduler, ReconcilePolicy, RelayBroker,
-        RelayEvent, RelayRoundStats, RelayUtilization, RepairPlanner, RepairRoundStats,
-        RepairTransfer, RequestKey, Scheduler, ShardRoundStats, ShardedMatcher, SimConfig,
-        SimulationReport, Simulator, SplitPolicy,
+        Admission, CandidateIndex, CandidateStats, DegradationConfig, DegradationController,
+        DegradationRoundStats, DeliveryOutcome, DeliveryPolicy, DeliveryRoundStats,
+        DeliverySummary, DeliveryTracker, FailurePolicy, GreedyScheduler, IncrementalMatcher,
+        MaxFlowScheduler, RandomScheduler, RelayBroker, RelayEvent, RelayRoundStats,
+        RelayUtilization, RepairPlanner, RepairRoundStats, RepairTransfer, RequestKey, Scheduler,
+        ShardRoundStats, ShardedMatcher, SimConfig, SimulationReport, Simulator,
     };
     pub use vod_workloads::{
         ChurnCounts, ChurnEvent, ChurnModel, DemandGenerator, DemandTrace, FaultCounts, FaultEvent,

@@ -1,23 +1,25 @@
-//! Candidate-pipeline equivalence gate: the expiry-wheel [`CandidateIndex`]
-//! and the flat CSR candidate plumbing must be *invisible* — bit-identical
-//! candidate rows, schedules, and reports compared to the legacy full-rescan
-//! pipeline and the legacy slice-of-vecs scheduler entry points.
+//! Candidate-pipeline equivalence gate: the expiry-wheel [`CandidateIndex`],
+//! the engine's candidate-row memo, and the flat CSR candidate plumbing
+//! must be *invisible* — the rows, schedules, and reports they produce are
+//! the ones a brute-force recompute would produce.
 //!
-//! * seeded property loops drive the incremental index against a
-//!   brute-force model of the legacy structures (per-box playback caches +
-//!   full `retain` sweep) through churny rounds — joins, refreshes,
-//!   evictions, far-future starts — asserting the per-stripe holder lists
-//!   agree in content *and order* every round, and that the change-stamp
-//!   contract holds (equal stamp ⇒ identical list);
-//! * full-simulator runs compare [`CandidateMode::Rescan`] against the
-//!   default incremental mode across workloads (sequential, flash crowd,
-//!   multi-swarm churn) and schedulers (global max-flow, sharded 1/4
-//!   threads), including a heterogeneous fleet with relayed requesters —
-//!   entire [`SimulationReport`]s must be equal (equality ignores only the
-//!   candidate build wall-clock);
+//! * seeded property loops drive the index against [`LegacyModel`], a
+//!   brute-force model (per-box playback caches + full `retain` sweep)
+//!   through churny rounds — joins, refreshes, evictions, far-future
+//!   starts, box purges, holder-change touches — asserting the per-stripe
+//!   holder lists agree in content *and order* every round, and that the
+//!   change-stamp contract holds (equal stamp ⇒ identical list; a touch
+//!   always moves the stamp);
+//! * full-simulator runs compare every scheduler (global max-flow, sharded
+//!   1/4 threads) fed the engine's stamped views against the same scheduler
+//!   behind [`Unstamped`] (stamps stripped, every row diffed) across
+//!   workloads (sequential, flash crowd, multi-swarm churn), including a
+//!   heterogeneous fleet with relayed requesters — entire
+//!   [`SimulationReport`]s must be equal, and every round's memoized rows
+//!   must match fresh builds ([`Simulator::check_row_memo`]);
 //! * the [`Scheduler`] trait's CSR entry points are checked against the
 //!   slice-of-vecs forms: a bridged scheduler that only implements the
-//!   legacy methods (exercising the default-impl bridge) schedules
+//!   slice methods (exercising the default-impl bridge) schedules
 //!   bit-identically to the native view path, and content-hash change
 //!   stamps never alter an incremental matcher's schedule.
 
@@ -26,6 +28,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use vod_analysis::Unstamped;
 
 const SEEDS: u64 = 8;
 
@@ -54,6 +57,15 @@ impl LegacyModel {
                     .get(&b.0)
                     .is_some_and(|cache| cache.start_of(*stripe).is_some())
             });
+            !boxes.is_empty()
+        });
+    }
+
+    /// Drops every cache entry of a departed box.
+    fn purge(&mut self, box_id: BoxId) {
+        self.caches.remove(&box_id.0);
+        self.index.retain(|_, boxes| {
+            boxes.retain(|b| *b != box_id);
             !boxes.is_empty()
         });
     }
@@ -87,9 +99,10 @@ impl LegacyModel {
     }
 }
 
-/// The incremental index agrees with the brute-force legacy model on every
-/// stripe's holder list — content and order — across churny rounds, and its
-/// change stamps never claim "unchanged" across an actual change.
+/// The incremental index agrees with the brute-force model on every
+/// stripe's holder list — content and order — across churny rounds with
+/// inserts, refreshes, box purges, and touches, and its change stamps never
+/// claim "unchanged" across an actual change or a touch.
 #[test]
 fn index_matches_brute_force_recompute_under_churn() {
     for seed in 0..SEEDS {
@@ -108,13 +121,28 @@ fn index_matches_brute_force_recompute_under_churn() {
             model.begin_round(now, window);
 
             // Random churn: joins (sometimes with future starts, mirroring
-            // postponed/relayed activation), refreshes of existing entries.
+            // postponed/relayed activation), refreshes of existing entries,
+            // departures purging a box, and touches marking a stripe whose
+            // static holders changed.
+            let mut touched = Vec::new();
             for _ in 0..rng.gen_range(0usize..6) {
                 let stripe = StripeId::new(VideoId(rng.gen_range(0..videos)), rng.gen_range(0..c));
                 let box_id = BoxId(rng.gen_range(0..boxes));
-                let start = now + rng.gen_range(0u64..4);
-                index.insert(stripe, box_id, start, now);
-                model.insert(stripe, box_id, start);
+                match rng.gen_range(0u32..10) {
+                    0 => {
+                        index.purge_box(box_id, now);
+                        model.purge(box_id);
+                    }
+                    1 => {
+                        index.touch(stripe, now);
+                        touched.push(stripe);
+                    }
+                    _ => {
+                        let start = now + rng.gen_range(0u64..4);
+                        index.insert(stripe, box_id, start, now);
+                        model.insert(stripe, box_id, start);
+                    }
+                }
             }
 
             // Bit-identical per-stripe lists, both ways.
@@ -129,9 +157,13 @@ fn index_matches_brute_force_recompute_under_churn() {
                     );
 
                     // Stamp contract: an unchanged stamp implies an
-                    // unchanged list.
+                    // unchanged list, and a touch always moves the stamp.
                     let stamp = index.stripe_stamp(stripe);
                     if let Some((old_stamp, old_list)) = last_seen.get(&stripe) {
+                        assert!(
+                            !touched.contains(&stripe) || *old_stamp != stamp,
+                            "seed {seed} round {now} stripe {stripe:?}: touch kept the stamp"
+                        );
                         if *old_stamp == stamp {
                             assert_eq!(
                                 &incremental, old_list,
@@ -155,12 +187,23 @@ fn index_matches_brute_force_recompute_under_churn() {
 // Full-simulator pipeline equivalence
 // ---------------------------------------------------------------------------
 
+/// `scheduler`, behind [`Unstamped`] when `unstamped` is set.
+fn stamps<S: Scheduler + 'static>(unstamped: bool, scheduler: S) -> Box<dyn Scheduler> {
+    if unstamped {
+        Box::new(Unstamped::new(scheduler))
+    } else {
+        Box::new(scheduler)
+    }
+}
+
 fn homogeneous_system(n: usize, c: u16, duration: u32, seed: u64) -> VideoSystem {
     let params = SystemParams::new(n, 2.0, 8, c, 4, 1.5, duration);
     let mut rng = StdRng::seed_from_u64(seed);
     VideoSystem::homogeneous(params, &RandomPermutationAllocator::new(4), &mut rng).unwrap()
 }
 
+/// Runs a simulation, checking after every round that each memoized
+/// candidate row the engine could replay equals a fresh build.
 fn run_sim(
     system: &VideoSystem,
     config: SimConfig,
@@ -168,12 +211,19 @@ fn run_sim(
     make_gen: impl Fn() -> Box<dyn DemandGenerator>,
 ) -> SimulationReport {
     let mut gen = make_gen();
-    Simulator::with_scheduler(system, config, scheduler).run(gen.as_mut())
+    let mut sim = Simulator::with_scheduler(system, config, scheduler);
+    while sim.round() < config.max_rounds {
+        sim.step(gen.as_mut());
+        sim.check_row_memo()
+            .unwrap_or_else(|e| panic!("{}: {e}", gen.name()));
+    }
+    sim.into_report()
 }
 
-/// Rescan vs incremental candidate pipelines produce identical reports
+/// Stamped vs unstamped candidate views produce identical reports
 /// (schedules, metrics, failures, candidate counters) for every workload ×
-/// scheduler combination, including stall-heavy infeasible runs.
+/// scheduler combination, including stall-heavy infeasible runs, with the
+/// row memo fresh every round.
 #[test]
 fn simulator_reports_identical_across_pipelines_workloads_and_schedulers() {
     let sys = homogeneous_system(28, 4, 16, 5);
@@ -209,25 +259,29 @@ fn simulator_reports_identical_across_pipelines_workloads_and_schedulers() {
         ),
     ];
 
-    type SchedFactory = Box<dyn Fn() -> Box<dyn Scheduler>>;
+    type SchedFactory = Box<dyn Fn(bool) -> Box<dyn Scheduler>>;
     let schedulers: Vec<(&str, SchedFactory)> = vec![
-        ("max-flow", Box::new(|| Box::new(MaxFlowScheduler::new()))),
-        ("sharded-1", Box::new(|| Box::new(ShardedMatcher::new(1)))),
-        ("sharded-4", Box::new(|| Box::new(ShardedMatcher::new(4)))),
+        (
+            "max-flow",
+            Box::new(|unstamped| stamps(unstamped, MaxFlowScheduler::new())),
+        ),
+        (
+            "sharded-1",
+            Box::new(|unstamped| stamps(unstamped, ShardedMatcher::new(1))),
+        ),
+        (
+            "sharded-4",
+            Box::new(|unstamped| stamps(unstamped, ShardedMatcher::new(4))),
+        ),
     ];
 
     for (wl_name, make_gen) in &workloads {
         for (sched_name, make_sched) in &schedulers {
             let config = SimConfig::new(40).continue_on_failure();
-            let incremental = run_sim(&sys, config, make_sched(), make_gen);
-            let rescan = run_sim(
-                &sys,
-                config.with_rescan_candidates(),
-                make_sched(),
-                make_gen,
-            );
+            let stamped = run_sim(&sys, config, make_sched(false), make_gen);
+            let unstamped = run_sim(&sys, config, make_sched(true), make_gen);
             assert_eq!(
-                incremental, rescan,
+                stamped, unstamped,
                 "pipeline divergence: workload {wl_name}, scheduler {sched_name}"
             );
         }
@@ -253,17 +307,17 @@ fn simulator_reports_identical_across_pipelines_workloads_and_schedulers() {
     );
     let b = run_sim(
         &starved,
-        config.with_rescan_candidates(),
-        Box::new(MaxFlowScheduler::new()),
+        config,
+        stamps(true, MaxFlowScheduler::new()),
         make_gen,
     );
     assert_eq!(a, b, "failure-path pipeline divergence");
     assert!(!a.all_rounds_feasible(), "starved run must stall");
 }
 
-/// Heterogeneous fleet (compensation plan, relayed requesters): pipeline
-/// equality holds through the relay subsystem too, and the sharded path
-/// stays bit-identical across thread counts under the incremental pipeline.
+/// Heterogeneous fleet (compensation plan, relayed requesters): stamped vs
+/// unstamped equality holds through the relay subsystem too, and the
+/// sharded path serves exactly what the global matcher serves.
 #[test]
 fn heterogeneous_relayed_runs_are_pipeline_invariant() {
     let c: u16 = 8;
@@ -290,32 +344,29 @@ fn heterogeneous_relayed_runs_are_pipeline_invariant() {
     .expect("fleet is u*-compensable");
     let poor = system.boxes().poor_ids(u_star);
 
-    let run = |config: SimConfig, scheduler: Box<dyn Scheduler>| {
-        let mut gen = MultiSwarmChurn::new(system.m(), 3, 5, 1.2, 5)
-            .with_rotation(6)
-            .with_priority_boxes(poor.clone());
-        Simulator::with_scheduler(&system, config, scheduler).run(&mut gen)
+    let config = SimConfig::new(25).continue_on_failure();
+    let run = |scheduler: Box<dyn Scheduler>| {
+        run_sim(&system, config, scheduler, || {
+            Box::new(
+                MultiSwarmChurn::new(system.m(), 3, 5, 1.2, 5)
+                    .with_rotation(6)
+                    .with_priority_boxes(poor.clone()),
+            )
+        })
     };
 
-    let config = SimConfig::new(25).continue_on_failure();
     for threads in [1usize, 4] {
-        let incremental = run(config, Box::new(ShardedMatcher::new(threads)));
-        let rescan = run(
-            config.with_rescan_candidates(),
-            Box::new(ShardedMatcher::new(threads)),
-        );
-        assert_eq!(
-            incremental, rescan,
-            "threads {threads}: pipeline divergence"
-        );
+        let stamped = run(stamps(false, ShardedMatcher::new(threads)));
+        let unstamped = run(stamps(true, ShardedMatcher::new(threads)));
+        assert_eq!(stamped, unstamped, "threads {threads}: pipeline divergence");
         assert!(
-            incremental.rounds.iter().any(|r| r.relay.is_some()),
+            stamped.rounds.iter().any(|r| r.relay.is_some()),
             "relay stats missing"
         );
     }
-    // Global matcher agrees with the sharded one under the new pipeline.
-    let global = run(config, Box::new(MaxFlowScheduler::new()));
-    let sharded = run(config, Box::new(ShardedMatcher::new(2)));
+    // The global matcher agrees with the sharded one.
+    let global = run(Box::new(MaxFlowScheduler::new()));
+    let sharded = run(Box::new(ShardedMatcher::new(2)));
     for (a, b) in sharded.rounds.iter().zip(&global.rounds) {
         assert_eq!(a.served, b.served, "round {}", a.round);
         assert_eq!(a.unserved, b.unserved, "round {}", a.round);
@@ -326,8 +377,8 @@ fn heterogeneous_relayed_runs_are_pipeline_invariant() {
 // CSR entry points vs slice-of-vecs forms
 // ---------------------------------------------------------------------------
 
-/// A scheduler that implements only the legacy slice-of-vecs methods, so
-/// every engine call reaches it through the `Scheduler` trait's default
+/// A scheduler that implements only the slice-of-vecs methods, so every
+/// engine call reaches it through the `Scheduler` trait's default
 /// view→vecs bridge.
 struct BridgedMaxFlow(MaxFlowScheduler);
 

@@ -11,8 +11,9 @@
 //! * **monotone recovery** — absent further departures, the set of
 //!   under-replicated stripes only shrinks, round over round;
 //! * **scheduler invariance** — the repair trajectory (stats, placement,
-//!   totals) is bit-identical across the incremental, full-rescan, and
-//!   sharded (1/2/4 thread) pipelines;
+//!   totals) is bit-identical across every differential-gate pipeline
+//!   (incremental, unstamped, sharded 1/2/4 threads), with every round's
+//!   candidate-row memo matching fresh builds;
 //! * **compensation validity** — after relays and poor boxes churn out, the
 //!   broker's live plan still validates against the surviving population
 //!   and the repaired placement stays within storage and liveness bounds.
@@ -20,6 +21,7 @@
 use p2p_vod::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use vod_analysis::EngineVariant;
 
 fn homogeneous(n: usize, u: f64, c: u16, k: u32, duration: u32, seed: u64) -> VideoSystem {
     let params = SystemParams::new(n, u, 8, c, k, 1.3, duration);
@@ -138,13 +140,16 @@ fn under_replication_only_shrinks_absent_departures() {
 }
 
 /// The repair trajectory is a pure function of scheduler-invariant state:
-/// every pipeline (incremental, rescan, sharded 1/2/4) produces identical
-/// per-round repair stats, identical placements, and identical totals.
+/// every pipeline (incremental, unstamped, sharded 1/2/4) produces
+/// identical per-round repair stats, identical placements, and identical
+/// totals, and no memoized candidate row goes stale along the way.
 #[test]
 fn repair_trajectory_is_identical_across_pipelines() {
     let sys = homogeneous(18, 2.2, 4, 3, 10, 31);
     let rounds = 30u64;
-    let run = |mut sim: Simulator| {
+    let config = SimConfig::new(rounds).continue_on_failure();
+    let run = |variant: EngineVariant| {
+        let mut sim = variant.simulator(&sys, config);
         let churn = ChurnModel::new(sys.boxes(), 13)
             .with_session(SessionLength::Geometric { leave_rate: 0.05 })
             .with_crash_rate(0.01)
@@ -153,8 +158,10 @@ fn repair_trajectory_is_identical_across_pipelines() {
         sim.attach_churn(churn);
         sim.attach_repair(RepairPlanner::for_system(&sys, 3));
         let mut gen = viewing(&sys, 31);
-        for _ in 0..rounds {
+        for round in 0..rounds {
             sim.step(&mut gen);
+            sim.check_row_memo()
+                .unwrap_or_else(|e| panic!("{} round {round}: {e}", variant.label()));
         }
         let stats: Vec<RepairRoundStats> = sim
             .report_so_far()
@@ -165,13 +172,9 @@ fn repair_trajectory_is_identical_across_pipelines() {
         let total = sim.repair_planner().unwrap().repaired_total();
         (stats, sim.live_placement().clone(), total)
     };
-    let config = SimConfig::new(rounds).continue_on_failure();
-    let reference = run(Simulator::new(&sys, config));
-    let rescan = run(Simulator::new(&sys, config.with_rescan_candidates()));
-    assert_eq!(reference, rescan, "rescan pipeline drifts");
-    for threads in [1usize, 2, 4] {
-        let sharded = run(Simulator::with_sharded_scheduler(&sys, config, threads));
-        assert_eq!(reference, sharded, "sharded({threads}) drifts");
+    let reference = run(EngineVariant::Incremental);
+    for variant in EngineVariant::GATE.into_iter().skip(1) {
+        assert_eq!(reference, run(variant), "{} drifts", variant.label());
     }
     assert!(reference.2 > 0, "the run must actually repair something");
 }

@@ -1,6 +1,6 @@
-//! Property-based tests of the max-flow / matching substrate: three-way
-//! solver agreement (Dinic, push–relabel, Hopcroft–Karp), max-flow =
-//! min-cut, Lemma 1 (matching exists iff no obstruction), validity of
+//! Property-based tests of the max-flow / matching substrate: solver
+//! agreement (Dinic, push–relabel, Hopcroft–Karp, all checked against a
+//! scalar Edmonds–Karp reference kept in this file), max-flow = min-cut, Lemma 1 (matching exists iff no obstruction), validity of
 //! extracted matchings, warm-started incremental solves matching cold
 //! solves under random perturbations, and obstruction-witness validation:
 //! every Hall violator returned — global or shard-local — is re-checked
@@ -14,13 +14,54 @@
 use p2p_vod::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vod_flow::{
-    bitset::for_each_set_bit, dinic, hopcroft_karp::HopcroftKarp, push_relabel, BitAdjacency,
-    BitSet, FlowNetwork,
-};
+use std::collections::VecDeque;
+use vod_flow::{bitset::for_each_set_bit, BitAdjacency, BitHopcroftKarp, BitSet, NodeId};
 use vod_sim::IncrementalMatcher;
 
 const CASES: u64 = 64;
+
+/// Edmonds–Karp: shortest augmenting paths found by BFS over the residual
+/// arena. The scalar reference the production solvers are checked
+/// against — no shape analysis, no bit kernels, no heuristics. Like every
+/// [`MaxFlowSolve`] it augments whatever flow the arena already carries.
+struct EdmondsKarp;
+
+impl MaxFlowSolve for EdmondsKarp {
+    fn max_flow(&mut self, arena: &mut FlowArena, source: NodeId, sink: NodeId) -> i64 {
+        let mut total = 0;
+        loop {
+            // The residual edge each reached node was first reached by.
+            let mut via: Vec<Option<usize>> = vec![None; arena.node_count()];
+            let mut queue = VecDeque::from([source]);
+            while let Some(v) = queue.pop_front() {
+                for e in arena.edges_from(v) {
+                    let to = arena.target(e);
+                    if arena.residual(e) > 0 && to != source && via[to].is_none() {
+                        via[to] = Some(e);
+                        queue.push_back(to);
+                    }
+                }
+            }
+            if via[sink].is_none() {
+                return total;
+            }
+            let path = || {
+                std::iter::successors(via[sink], |&e| via[arena.target(e ^ 1)])
+                    .collect::<Vec<usize>>()
+            };
+            let edges = path();
+            let bottleneck = edges.iter().map(|&e| arena.residual(e)).min().unwrap();
+            for e in edges {
+                arena.push(e, bottleneck);
+            }
+            total += bottleneck;
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "edmonds-karp"
+    }
+}
 
 /// Random connection-matching instance: box capacities and per-request
 /// candidate lists.
@@ -55,14 +96,24 @@ fn random_network(rng: &mut StdRng) -> (usize, Vec<(usize, usize, i64)>) {
     (n, edges)
 }
 
-fn build_network(n: usize, edges: &[(usize, usize, i64)]) -> FlowNetwork {
-    let mut g = FlowNetwork::with_nodes(n);
+fn build_network(n: usize, edges: &[(usize, usize, i64)]) -> FlowArena {
+    let mut g = FlowArena::new();
+    g.clear(n);
     for &(a, b, cap) in edges {
         if a != b {
             g.add_edge(a, b, cap);
         }
     }
     g
+}
+
+/// Capacity of the cut `side`: forward edges leaving it.
+fn cut_capacity(g: &FlowArena, side: &[bool]) -> i64 {
+    (0..g.edge_count())
+        .step_by(2)
+        .filter(|&e| side[g.target(e ^ 1)] && !side[g.target(e)])
+        .map(|e| g.edge(e).original_cap)
+        .sum()
 }
 
 fn build_problem(caps: &[u32], cands: &[Vec<BoxId>]) -> ConnectionProblem {
@@ -73,25 +124,27 @@ fn build_problem(caps: &[u32], cands: &[Vec<BoxId>]) -> ConnectionProblem {
     p
 }
 
-/// Dinic and push-relabel compute the same max-flow value on arbitrary
-/// networks, and that value equals the capacity of the residual min cut.
+/// Dinic, push-relabel, and the Edmonds–Karp reference compute the same
+/// max-flow value on arbitrary networks, and that value equals the
+/// capacity of the residual min cut.
 #[test]
 fn maxflow_solvers_agree_and_match_min_cut() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
         let (n, edges) = random_network(&mut rng);
         let mut g1 = build_network(n, &edges);
-        let mut g2 = build_network(n, &edges);
         let source = 0;
         let sink = n - 1;
-        let f1 = dinic::max_flow(&mut g1, source, sink);
-        let f2 = push_relabel::max_flow(&mut g2, source, sink);
+        let f1 = Dinic::new().max_flow(&mut g1, source, sink);
+        let f2 = PushRelabel::new().max_flow(&mut build_network(n, &edges), source, sink);
+        let f3 = EdmondsKarp.max_flow(&mut build_network(n, &edges), source, sink);
         assert_eq!(f1, f2, "seed {seed}: Dinic {f1} vs push-relabel {f2}");
+        assert_eq!(f1, f3, "seed {seed}: Dinic {f1} vs Edmonds-Karp {f3}");
 
         let side = g1.residual_reachable(source);
         assert!(side[source], "seed {seed}");
         assert!(!side[sink], "seed {seed}");
-        assert_eq!(g1.cut_capacity(&side), f1, "seed {seed}");
+        assert_eq!(cut_capacity(&g1, &side), f1, "seed {seed}");
 
         // Flow conservation at internal nodes.
         for v in 1..n - 1 {
@@ -122,7 +175,8 @@ fn cross_solver_equivalence_on_connection_instances() {
     }
 }
 
-/// On unit-capacity instances the flow matching equals raw Hopcroft–Karp.
+/// On unit-capacity instances the flow matching equals a plain
+/// Hopcroft–Karp matching (every box of budget 1).
 #[test]
 fn unit_capacity_matching_equals_hopcroft_karp() {
     for seed in 0..CASES {
@@ -142,16 +196,15 @@ fn unit_capacity_matching_equals_hopcroft_karp() {
         let problem = build_problem(&caps, &boxed);
         let flow_match = problem.solve();
 
-        let mut hk = HopcroftKarp::new(cands.len(), 6);
+        let mut adj = BitAdjacency::new();
+        adj.reset(cands.len(), 6);
         for (x, list) in cands.iter().enumerate() {
-            let mut seen = std::collections::BTreeSet::new();
             for &b in list {
-                if seen.insert(b) {
-                    hk.add_edge(x, b);
-                }
+                adj.set(x, b);
             }
         }
-        let (hk_size, _) = hk.solve();
+        let mut matched = vec![u32::MAX; cands.len()];
+        let hk_size = BitHopcroftKarp::new().solve(&adj, &caps, &mut matched);
         assert_eq!(flow_match.served(), hk_size, "seed {seed}");
     }
 }
@@ -431,10 +484,62 @@ fn budget_load(sharded: &ShardedArena, boxes: usize) -> Vec<u64> {
     load
 }
 
+/// Per-(shard, box) slot targets for a split: each shard's backlog spread
+/// over the slots of its boxes, the shape the sharded scheduler's
+/// starvation history takes.
+fn random_targets(sharded: &ShardedArena, rng: &mut StdRng) -> Vec<u64> {
+    let mut targets = Vec::new();
+    for s in 0..sharded.shard_count() {
+        let backlog = rng.gen_range(0u64..12);
+        targets.extend(sharded.shard(s).boxes.iter().map(|_| backlog / 2));
+    }
+    targets
+}
+
+/// The demand-proportional split, computed independently per box: shard
+/// `s` gets `⌊cap·d_s/D⌋` (at most `d_s`), and the leftover goes to the
+/// largest demand, lowest shard ordinal on ties. A box only one shard
+/// demands goes to it whole.
+fn proportional_reference(sharded: &ShardedArena, caps: &[u32]) -> Vec<Vec<u32>> {
+    let mut budgets: Vec<Vec<u32>> = (0..sharded.shard_count())
+        .map(|s| vec![0; sharded.shard(s).boxes.len()])
+        .collect();
+    for (b, &cap) in caps.iter().enumerate() {
+        // (shard, slot, demand) of every shard demanding box b.
+        let users: Vec<(usize, usize, u64)> = (0..sharded.shard_count())
+            .filter_map(|s| {
+                let view = sharded.shard(s);
+                let slot = view.boxes.iter().position(|&x| x as usize == b)?;
+                Some((s, slot, view.demand[slot] as u64))
+            })
+            .collect();
+        match users.as_slice() {
+            [] => continue,
+            [(s, slot, _)] => {
+                budgets[*s][*slot] = cap;
+                continue;
+            }
+            _ => {}
+        }
+        let total: u64 = users.iter().map(|u| u.2).sum();
+        let mut left = cap as u64;
+        for &(s, slot, demand) in &users {
+            let share = (cap as u64 * demand / total).min(demand);
+            budgets[s][slot] = share as u32;
+            left -= share;
+        }
+        let top = users.iter().map(|u| u.2).max().unwrap();
+        let &(s, slot, _) = users.iter().find(|u| u.2 == top).unwrap();
+        budgets[s][slot] += left as u32;
+    }
+    budgets
+}
+
 /// Water-filling budget splits partition each box's capacity exactly — for
-/// any deficit history, per-box grants across shards sum to the capacity of
+/// any backlog history, per-box grants across shards sum to the capacity of
 /// every demanded box (in particular they never exceed `⌊u_b·c⌋`), so the
-/// per-shard subproblems stay capacity-disjoint.
+/// per-shard subproblems stay capacity-disjoint — and a backlog target is
+/// honoured whenever the targets on its box fit in the box's capacity.
 #[test]
 fn waterfill_split_partitions_every_box_capacity() {
     for seed in 0..CASES {
@@ -443,14 +548,20 @@ fn waterfill_split_partitions_every_box_capacity() {
         let shard_of = random_shard_keys(&cands, &mut rng);
         let mut sharded = ShardedArena::new();
         let shard_count = sharded.partition(&shard_of, &cands, caps.len());
-        let deficits: Vec<u64> = (0..shard_count).map(|_| rng.gen_range(0u64..12)).collect();
-        sharded.split_budgets_waterfill(&caps, &deficits);
+        let targets = random_targets(&sharded, &mut rng);
+        sharded.split_budgets_targeted(&caps, &targets);
         let load = budget_load(&sharded, caps.len());
-        // Which boxes are demanded at all?
+        // Which boxes are demanded at all, and how much backlog each box's
+        // targets claim (clamped to demand, as the split clamps them)?
         let mut demanded = vec![false; caps.len()];
+        let mut claimed = vec![0u64; caps.len()];
+        let mut slot = 0;
         for s in 0..shard_count {
-            for &b in sharded.shard(s).boxes {
+            let view = sharded.shard(s);
+            for (&b, &demand) in view.boxes.iter().zip(view.demand) {
                 demanded[b as usize] = true;
+                claimed[b as usize] += targets[slot].min(demand as u64);
+                slot += 1;
             }
         }
         for (b, (&granted, &cap)) in load.iter().zip(&caps).enumerate() {
@@ -460,32 +571,41 @@ fn waterfill_split_partitions_every_box_capacity() {
                 assert_eq!(granted, 0, "seed {seed} box {b}");
             }
         }
+        let mut slot = 0;
+        for s in 0..shard_count {
+            let view = sharded.shard(s);
+            for ((&b, &demand), &budget) in view.boxes.iter().zip(view.demand).zip(view.budget) {
+                let want = targets[slot].min(demand as u64);
+                if claimed[b as usize] <= caps[b as usize] as u64 {
+                    assert!(budget as u64 >= want, "seed {seed} shard {s} box {b}");
+                }
+                slot += 1;
+            }
+        }
     }
 }
 
-/// With an empty (or all-zero) deficit history the water-filling split is
-/// bit-identical to the demand-proportional split — the new policy degrades
-/// gracefully when there is nothing to learn from.
+/// With an empty (or all-zero) backlog history the water-filling split is
+/// exactly the demand-proportional split — nothing to learn from, nothing
+/// water-filled.
 #[test]
 fn waterfill_split_with_empty_history_is_demand_proportional() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(10_000 + seed);
         let (caps, cands) = random_instance(&mut rng);
         let shard_of = random_shard_keys(&cands, &mut rng);
+        let mut sharded = ShardedArena::new();
+        let shard_count = sharded.partition(&shard_of, &cands, caps.len());
+        let expected = proportional_reference(&sharded, &caps);
+        let slots: usize = (0..shard_count).map(|s| sharded.shard(s).boxes.len()).sum();
 
-        let mut proportional = ShardedArena::new();
-        let shard_count = proportional.partition(&shard_of, &cands, caps.len());
-        proportional.split_budgets(&caps);
-
-        for zeros in [vec![], vec![0u64; shard_count]] {
-            let mut waterfill = ShardedArena::new();
-            waterfill.partition(&shard_of, &cands, caps.len());
-            let stats = waterfill.split_budgets_waterfill(&caps, &zeros);
+        for zeros in [vec![], vec![0u64; slots]] {
+            let stats = sharded.split_budgets_targeted(&caps, &zeros);
             assert_eq!(stats.iterations, 0, "seed {seed}: no backlog, no grants");
-            for s in 0..shard_count {
+            for (s, budget) in expected.iter().enumerate() {
                 assert_eq!(
-                    proportional.shard(s).budget,
-                    waterfill.shard(s).budget,
+                    sharded.shard(s).budget,
+                    budget.as_slice(),
                     "seed {seed} shard {s}"
                 );
             }
@@ -494,7 +614,7 @@ fn waterfill_split_with_empty_history_is_demand_proportional() {
 }
 
 /// The water-filling split is a pure function of (partition, capacities,
-/// deficits): re-running it on a fresh arena reproduces budgets and stats
+/// targets): re-running it on a fresh arena reproduces budgets and stats
 /// bit-for-bit. (Thread-count invariance of the full scheduler is covered
 /// by `tests/sharded_equivalence.rs` — the split runs before any worker
 /// thread exists.)
@@ -506,12 +626,12 @@ fn waterfill_split_is_deterministic() {
         let shard_of = random_shard_keys(&cands, &mut rng);
         let mut first = ShardedArena::new();
         let shard_count = first.partition(&shard_of, &cands, caps.len());
-        let deficits: Vec<u64> = (0..shard_count).map(|_| rng.gen_range(0u64..12)).collect();
-        let stats_first = first.split_budgets_waterfill(&caps, &deficits);
+        let targets = random_targets(&first, &mut rng);
+        let stats_first = first.split_budgets_targeted(&caps, &targets);
 
         let mut second = ShardedArena::new();
         second.partition(&shard_of, &cands, caps.len());
-        let stats_second = second.split_budgets_waterfill(&caps, &deficits);
+        let stats_second = second.split_budgets_targeted(&caps, &targets);
         assert_eq!(stats_first, stats_second, "seed {seed}");
         for s in 0..shard_count {
             assert_eq!(
@@ -802,7 +922,7 @@ fn relay_lending_partitions_reservations_across_shards() {
 }
 
 /// The targeted per-(shard, box) split partitions capacity exactly for any
-/// slot targets, and with empty targets it is bit-identical to the
+/// slot targets, and with empty targets it is exactly the
 /// demand-proportional split.
 #[test]
 fn targeted_split_partitions_capacity_and_degrades_to_proportional() {
@@ -826,16 +946,11 @@ fn targeted_split_partitions_capacity_and_degrades_to_proportional() {
         }
 
         // Empty targets ≡ demand-proportional split, bit for bit.
-        let mut targeted = ShardedArena::new();
-        targeted.partition(&shard_of, &cands, caps.len());
-        targeted.split_budgets_targeted(&caps, &[]);
-        let mut proportional = ShardedArena::new();
-        proportional.partition(&shard_of, &cands, caps.len());
-        proportional.split_budgets(&caps);
-        for s in 0..shard_count {
+        sharded.split_budgets_targeted(&caps, &[]);
+        for (s, budget) in proportional_reference(&sharded, &caps).iter().enumerate() {
             assert_eq!(
-                targeted.shard(s).budget,
-                proportional.shard(s).budget,
+                sharded.shard(s).budget,
+                budget.as_slice(),
                 "seed {seed} shard {s}"
             );
         }
@@ -939,19 +1054,17 @@ fn adversarial_tight_instance(rng: &mut StdRng) -> (Vec<u32>, Vec<Vec<BoxId>>) {
 /// Constructor of one boxed solver variant.
 type MakeSolver = fn() -> Box<dyn MaxFlowSolve>;
 
-/// Every solver variant — word-parallel and scalar, with and without the
-/// push-relabel heuristics — returns the same flow value and a valid
-/// matching, on both random and adversarially tight instances. This is the
-/// bit-vs-scalar equality gate for the whole solver matrix.
+/// The three production solvers — word-parallel Dinic and Hopcroft–Karp,
+/// heuristic push-relabel — return the flow value of the scalar
+/// Edmonds–Karp reference and a valid matching, on both random and
+/// adversarially tight instances. This is the bit-vs-scalar equality gate
+/// for the whole solver line-up.
 #[test]
 fn bit_and_scalar_solver_variants_agree_cold() {
-    let variants: [(&str, MakeSolver); 6] = [
-        ("dinic-bit", || Box::new(Dinic::new())),
-        ("dinic-scalar", || Box::new(Dinic::scalar())),
-        ("hk-bit", || Box::new(HopcroftKarpSolve::new())),
-        ("hk-scalar", || Box::new(HopcroftKarpSolve::scalar())),
-        ("pr-heuristic", || Box::new(PushRelabel::new())),
-        ("pr-basic", || Box::new(PushRelabel::basic())),
+    let variants: [(&str, MakeSolver); 3] = [
+        ("dinic", || Box::new(Dinic::new())),
+        ("hopcroft-karp", || Box::new(HopcroftKarpSolve::new())),
+        ("push-relabel", || Box::new(PushRelabel::new())),
     ];
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(18_000 + seed);
@@ -962,7 +1075,7 @@ fn bit_and_scalar_solver_variants_agree_cold() {
                 random_instance(&mut rng)
             };
             let problem = build_problem(&caps, &cands);
-            let reference = problem.solve_with(&mut Dinic::scalar());
+            let reference = problem.solve_with(&mut EdmondsKarp);
             for (name, make) in &variants {
                 let got = problem.solve_with(make().as_mut());
                 assert_eq!(
@@ -1000,31 +1113,25 @@ fn bit_and_scalar_solver_variants_agree_cold() {
     }
 }
 
-/// Warm-started (incremental, arena-reusing) solves of each word-parallel
-/// variant serve exactly what its scalar twin serves, round for round,
-/// across random churn — exercising shape re-analysis, seeded-matching
-/// extraction, diff write-back, and the global-relabel path on warm
-/// arenas.
+/// Warm-started (incremental, arena-reusing) solves of each production
+/// solver serve exactly what a warm Edmonds–Karp reference serves, round
+/// for round, across random churn — exercising shape re-analysis,
+/// seeded-matching extraction, diff write-back, and the global-relabel
+/// path on warm arenas.
 #[test]
 fn bit_and_scalar_solver_variants_agree_warm() {
-    let pairs: [(MakeSolver, MakeSolver); 3] = [
-        (|| Box::new(Dinic::new()), || Box::new(Dinic::scalar())),
-        (
-            || Box::new(HopcroftKarpSolve::new()),
-            || Box::new(HopcroftKarpSolve::scalar()),
-        ),
-        (
-            || Box::new(PushRelabel::new()),
-            || Box::new(PushRelabel::basic()),
-        ),
+    let solvers: [MakeSolver; 3] = [
+        || Box::new(Dinic::new()),
+        || Box::new(HopcroftKarpSolve::new()),
+        || Box::new(PushRelabel::new()),
     ];
-    for (pi, (make_bit, make_scalar)) in pairs.iter().enumerate() {
+    for (pi, make_bit) in solvers.iter().enumerate() {
         for seed in 0..CASES / 2 {
             let mut rng = StdRng::seed_from_u64(19_000 + seed);
             let boxes = rng.gen_range(3usize..8);
             let caps: Vec<u32> = (0..boxes).map(|_| rng.gen_range(0u32..4)).collect();
             let mut bit = IncrementalMatcher::new(make_bit());
-            let mut scalar = IncrementalMatcher::new(make_scalar());
+            let mut scalar = IncrementalMatcher::new(Box::new(EdmondsKarp));
             let mut bit_out = Vec::new();
             let mut scalar_out = Vec::new();
 
@@ -1081,31 +1188,23 @@ fn bit_and_scalar_solver_variants_agree_warm() {
     }
 }
 
-/// The global-relabel + gap push-relabel agrees with the basic variant and
-/// with Dinic on raw random flow networks (not just Lemma-1 shapes) — the
-/// heuristics change only the work schedule, never the flow value.
+/// The global-relabel + gap push-relabel agrees with the Edmonds–Karp
+/// reference and with Dinic on raw random flow networks (not just Lemma-1
+/// shapes) — the heuristics change only the work schedule, never the flow
+/// value — and leaves a conserved flow behind.
 #[test]
 fn global_relabel_push_relabel_matches_on_raw_networks() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(20_000 + seed);
         let (n, edges) = random_network(&mut rng);
-        let mut g1 = build_network(n, &edges);
-        let mut g2 = build_network(n, &edges);
         let source = 0;
         let sink = n - 1;
-        let reference = dinic::max_flow(&mut g1, source, sink);
-        let pr = push_relabel::max_flow(&mut g2, source, sink);
-        assert_eq!(reference, pr, "seed {seed}: push-relabel vs dinic");
-
-        // Arena-based solver structs on the same network, both heuristic
-        // modes.
-        let mut arena = FlowArena::new();
-        let g3 = build_network(n, &edges);
-        arena.rebuild_from(&g3);
-        let with = PushRelabel::new().max_flow(&mut arena, source, sink);
-        arena.rebuild_from(&g3);
-        let without = PushRelabel::basic().max_flow(&mut arena, source, sink);
-        assert_eq!(with, reference, "seed {seed}: heuristic variant");
-        assert_eq!(without, reference, "seed {seed}: basic variant");
+        let reference = EdmondsKarp.max_flow(&mut build_network(n, &edges), source, sink);
+        let dinic = Dinic::new().max_flow(&mut build_network(n, &edges), source, sink);
+        let mut g = build_network(n, &edges);
+        let pr = PushRelabel::new().max_flow(&mut g, source, sink);
+        assert_eq!(dinic, reference, "seed {seed}: dinic vs reference");
+        assert_eq!(pr, reference, "seed {seed}: push-relabel vs reference");
+        assert_eq!(g.net_outflow(sink), -pr, "seed {seed}: sink inflow");
     }
 }

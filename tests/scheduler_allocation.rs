@@ -14,7 +14,7 @@
 //! recording together allocate nothing in steady state.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,11 +24,27 @@ use vod_workloads::{DemandGenerator, OccupancyView, VideoDemand};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Counting per thread keeps
+    /// allocations by tests running in parallel on other threads out of
+    /// the measured window; the `const` initializer needs no allocation
+    /// and no destructor, so the allocator may touch it.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // A thread being torn down has no counter left to bump.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -37,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -82,13 +98,13 @@ fn steady_state_rounds_allocate_nothing() {
     }
     let rebuilds_after_warmup = scheduler.matcher().rebuilds();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for round in 0..10 {
         let cands = if round % 2 == 0 { &cands_a } else { &cands_b };
         scheduler.schedule_keyed(&caps, &keys, cands, &mut out);
         assert_eq!(out.iter().flatten().count(), 24, "steady round {round}");
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
 
     assert_eq!(
         after - before,
@@ -118,7 +134,7 @@ fn request_churn_reuses_pooled_slots_without_allocating() {
         scheduler.schedule_keyed(&caps, &keys, &cands, &mut out);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for round in 40u32..60 {
         for (j, k) in keys.iter_mut().enumerate() {
             *k = key((round + j as u32) % 20, 0);
@@ -126,7 +142,7 @@ fn request_churn_reuses_pooled_slots_without_allocating() {
         scheduler.schedule_keyed(&caps, &keys, &cands, &mut out);
         assert_eq!(out.len(), 10);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -183,11 +199,11 @@ fn steady_state_engine_rounds_allocate_nothing() {
         assert!(sim.step(&mut gen), "warm-up round {round} must be feasible");
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for round in 20..40u64 {
         assert!(sim.step(&mut gen), "steady round {round} must be feasible");
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

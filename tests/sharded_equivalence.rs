@@ -16,10 +16,8 @@
 //!   reconciliation counters — is identical for every thread count, and
 //!   across re-runs;
 //! * every assignment respects candidate sets and capacities;
-//! * all four split × reconcile policy combinations (demand-proportional
-//!   vs water-filling, rebuilding vs persistent reconciliation) satisfy the
-//!   same guarantees — the PR 3 defaults extend the gate, they do not relax
-//!   it.
+//! * the flat-CSR and relay-aware entry points schedule bit-identically to
+//!   the slice-of-vecs path.
 //!
 //! Instance knobs (`n` boxes, `m` videos, `c` stripes per video, growth
 //! factor `µ`) are drawn per seed, so every failure reproduces from the
@@ -166,28 +164,13 @@ fn cold_served(caps: &[u32], cands: &[Vec<BoxId>]) -> usize {
     problem.solve().served()
 }
 
-/// Every split × reconcile policy combination the matcher supports.
-const POLICIES: [(SplitPolicy, ReconcilePolicy); 4] = [
-    (SplitPolicy::DemandProportional, ReconcilePolicy::Rebuild),
-    (SplitPolicy::DemandProportional, ReconcilePolicy::Persistent),
-    (SplitPolicy::WaterFill, ReconcilePolicy::Rebuild),
-    (SplitPolicy::WaterFill, ReconcilePolicy::Persistent),
-];
-
-/// Replays one seeded scenario through a sharded matcher with the given
-/// policies, returning the full schedule and per-round stats history.
-fn run_sharded_with(
-    seed: u64,
-    threads: usize,
-    split: SplitPolicy,
-    reconcile: ReconcilePolicy,
-) -> (Vec<Vec<Option<BoxId>>>, Vec<ShardRoundStats>) {
+/// Replays one seeded scenario through a sharded matcher, returning the
+/// full schedule and per-round stats history.
+fn run_sharded(seed: u64, threads: usize) -> (Vec<Vec<Option<BoxId>>>, Vec<ShardRoundStats>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let sc = Scenario::draw(&mut rng);
     let mut stream = RoundStream::new();
-    let mut matcher = ShardedMatcher::new(threads)
-        .with_split_policy(split)
-        .with_reconcile_policy(reconcile);
+    let mut matcher = ShardedMatcher::new(threads);
     let mut out = Vec::new();
     let mut history = Vec::new();
     let mut stats = Vec::new();
@@ -199,18 +182,6 @@ fn run_sharded_with(
         stats.push(matcher.last_round_stats());
     }
     (history, stats)
-}
-
-/// Replays one seeded scenario through a default-policy sharded matcher,
-/// returning the full schedule history.
-fn run_sharded(seed: u64, threads: usize) -> Vec<Vec<Option<BoxId>>> {
-    run_sharded_with(
-        seed,
-        threads,
-        SplitPolicy::default(),
-        ReconcilePolicy::default(),
-    )
-    .0
 }
 
 /// Sharded, incremental, and cold global solves agree on feasibility and
@@ -287,8 +258,9 @@ fn sharded_matches_global_on_random_multi_swarm_rounds() {
     }
 }
 
-/// The full schedule history is a pure function of the seed: re-running the
-/// same scenario — at any thread count — reproduces it bit-for-bit.
+/// The full schedule history (and the per-round stats) is a pure function
+/// of the seed: re-running the same scenario — at any thread count —
+/// reproduces it bit-for-bit.
 #[test]
 fn sharded_schedules_are_seed_deterministic() {
     for seed in 0..SEEDS / 2 {
@@ -333,87 +305,38 @@ fn simulator_level_sharded_equals_global() {
     }
 }
 
-/// Every split × reconcile policy combination — the PR 2 baseline, the PR 3
-/// defaults, and the mixed configurations — serves exactly the cold global
-/// maximum on random multi-swarm rounds, with valid assignments, and each
-/// combination's schedule is bit-identical across thread counts.
-#[test]
-fn all_policy_combinations_match_global_and_are_thread_invariant() {
-    for seed in 0..SEEDS / 2 {
-        // Cold per-round reference, replayed once per seed.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let sc = Scenario::draw(&mut rng);
-        let mut stream = RoundStream::new();
-        let mut reference = Vec::new();
-        let mut rounds = Vec::new();
-        for _ in 0..ROUNDS {
-            stream.advance(&sc, &mut rng);
-            let (keys, cands) = stream.round();
-            reference.push(cold_served(&sc.caps, &cands));
-            rounds.push((keys, cands));
-        }
-
-        for (split, reconcile) in POLICIES {
-            let single = run_sharded_with(seed, 1, split, reconcile);
-            for (round, (schedule, (_, cands))) in single.0.iter().zip(&rounds).enumerate() {
-                assert_eq!(
-                    schedule.iter().flatten().count(),
-                    reference[round],
-                    "seed {seed} round {round} policies {split:?}/{reconcile:?}"
-                );
-                assert!(
-                    assignment_is_valid(schedule, &sc.caps, cands),
-                    "seed {seed} round {round} policies {split:?}/{reconcile:?}"
-                );
-            }
-            for threads in [2usize, 8] {
-                assert_eq!(
-                    run_sharded_with(seed, threads, split, reconcile),
-                    single,
-                    "seed {seed} threads {threads} policies {split:?}/{reconcile:?}"
-                );
-            }
-        }
-    }
-}
-
 /// The flat-CSR entry point ([`Scheduler::schedule_keyed_view`]) is
 /// bit-identical to the slice-of-vecs path for the sharded matcher — same
-/// schedules, same per-round stats — across threads 1–8 and all four
-/// split × reconcile policy combinations. This is the gate that lets the
-/// engine drive the whole stack through one contiguous candidate buffer.
+/// schedules, same per-round stats — across threads 1–8. This is the gate
+/// that lets the engine drive the whole stack through one contiguous
+/// candidate buffer.
 #[test]
 fn csr_view_path_is_bit_identical_to_slice_path_across_threads() {
     for seed in 0..SEEDS / 2 {
-        for (split, reconcile) in POLICIES {
-            // Reference: slice-of-vecs path, single thread.
-            let reference = run_sharded_with(seed, 1, split, reconcile);
-            for &threads in &THREAD_COUNTS {
-                // Same scenario, CSR path.
-                let mut rng = StdRng::seed_from_u64(seed);
-                let sc = Scenario::draw(&mut rng);
-                let mut stream = RoundStream::new();
-                let mut matcher = ShardedMatcher::new(threads)
-                    .with_split_policy(split)
-                    .with_reconcile_policy(reconcile);
-                let mut out = Vec::new();
-                let mut buf = CandidateBuf::new();
-                for round in 0..ROUNDS as usize {
-                    stream.advance(&sc, &mut rng);
-                    let (keys, cands) = stream.round();
-                    buf.fill_from_slices(&cands);
-                    matcher.schedule_keyed_view(&sc.caps, &keys, buf.view(), &mut out);
-                    assert_eq!(
-                        out, reference.0[round],
-                        "seed {seed} round {round} threads {threads} \
-                         policies {split:?}/{reconcile:?}: CSR schedule diverged"
-                    );
-                    assert_eq!(
-                        matcher.last_round_stats(),
-                        reference.1[round],
-                        "seed {seed} round {round} threads {threads}: CSR stats diverged"
-                    );
-                }
+        // Reference: slice-of-vecs path, single thread.
+        let reference = run_sharded(seed, 1);
+        for &threads in &THREAD_COUNTS {
+            // Same scenario, CSR path.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let sc = Scenario::draw(&mut rng);
+            let mut stream = RoundStream::new();
+            let mut matcher = ShardedMatcher::new(threads);
+            let mut out = Vec::new();
+            let mut buf = CandidateBuf::new();
+            for round in 0..ROUNDS as usize {
+                stream.advance(&sc, &mut rng);
+                let (keys, cands) = stream.round();
+                buf.fill_from_slices(&cands);
+                matcher.schedule_keyed_view(&sc.caps, &keys, buf.view(), &mut out);
+                assert_eq!(
+                    out, reference.0[round],
+                    "seed {seed} round {round} threads {threads}: CSR schedule diverged"
+                );
+                assert_eq!(
+                    matcher.last_round_stats(),
+                    reference.1[round],
+                    "seed {seed} round {round} threads {threads}: CSR stats diverged"
+                );
             }
         }
     }
