@@ -63,6 +63,8 @@ pub mod bitset;
 pub mod candidates;
 pub mod dinic;
 pub mod expander;
+#[cfg(test)]
+mod graph;
 pub mod hall;
 pub mod hopcroft_karp;
 pub mod matching;

@@ -15,7 +15,8 @@
 //!   including the budget split's water-filling iterations and the
 //!   reconciliation counters — is identical for every thread count, and
 //!   across re-runs;
-//! * every assignment respects candidate sets and capacities;
+//! * every assignment respects candidate sets and capacities, on every
+//!   reconcile path (skipped, persistent, rebuilt) a round can take;
 //! * the flat-CSR and relay-aware entry points schedule bit-identically to
 //!   the slice-of-vecs path.
 //!
@@ -302,6 +303,61 @@ fn simulator_level_sharded_equals_global() {
                 a.round
             );
         }
+    }
+}
+
+/// The matcher's split and reconcile policies are fixed, but each round
+/// takes one of several path combinations through them: the budget split
+/// water-fills or finds no backlog, and reconciliation is skipped, augments
+/// the carried flow persistently, or rebuilds the global network. Every
+/// combination the seeds reach serves exactly the cold global maximum with
+/// valid assignments and is bit-identical across thread counts, and the
+/// seeds reach each reconcile path.
+#[test]
+fn all_policy_combinations_match_global_and_are_thread_invariant() {
+    let mut reached = std::collections::BTreeMap::new();
+    for seed in 0..SEEDS / 2 {
+        // Cold per-round reference, replayed once per seed.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sc = Scenario::draw(&mut rng);
+        let mut stream = RoundStream::new();
+        let mut rounds = Vec::new();
+        for _ in 0..ROUNDS {
+            stream.advance(&sc, &mut rng);
+            rounds.push(stream.round().1);
+        }
+
+        let single = run_sharded(seed, 1);
+        for (round, ((schedule, stats), cands)) in
+            single.0.iter().zip(&single.1).zip(&rounds).enumerate()
+        {
+            let combination = (stats.split_iterations > 0, stats.reconciled, stats.rebuilt);
+            *reached.entry(combination).or_insert(0usize) += 1;
+            assert_eq!(
+                schedule.iter().flatten().count(),
+                cold_served(&sc.caps, cands),
+                "seed {seed} round {round} path {combination:?}"
+            );
+            assert!(
+                assignment_is_valid(schedule, &sc.caps, cands),
+                "seed {seed} round {round} path {combination:?}"
+            );
+        }
+        for threads in [2usize, 8] {
+            assert_eq!(
+                run_sharded(seed, threads),
+                single,
+                "seed {seed} threads {threads}"
+            );
+        }
+    }
+    for (reconciled, rebuilt) in [(false, false), (true, false), (true, true)] {
+        assert!(
+            reached
+                .keys()
+                .any(|&(_, r, b)| (r, b) == (reconciled, rebuilt)),
+            "no round took reconciled={reconciled} rebuilt={rebuilt}: {reached:?}"
+        );
     }
 }
 
