@@ -8,6 +8,10 @@
 //!
 //! * [`arena`] — the integer-capacity residual network [`FlowArena`] every
 //!   solver works on (flat storage, zero steady-state allocation);
+//! * [`augment`] — the targeted augmenting-path kernel
+//!   [`TargetedAugment`] that restores maximality after a warm start (with a
+//!   one-hop spare-box lookahead), shared by the incremental matcher and
+//!   sharded reconciliation;
 //! * [`candidates`] — the pooled flat CSR candidate representation
 //!   ([`CandidateBuf`] / borrowed [`CandidateView`], with optional per-row
 //!   change stamps) shared by every candidate-consuming stage;
@@ -59,6 +63,7 @@
 #![forbid(unsafe_code)]
 
 pub mod arena;
+pub mod augment;
 pub mod bitset;
 pub mod candidates;
 pub mod dinic;
@@ -74,6 +79,7 @@ pub mod shard;
 pub mod solver;
 
 pub use arena::{ArenaEdge, FlowArena, NodeId};
+pub use augment::TargetedAugment;
 pub use bitset::{BitAdjacency, BitSet};
 pub use candidates::{CandidateBuf, CandidateView, NO_STAMP};
 pub use dinic::Dinic;

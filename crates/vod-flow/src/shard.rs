@@ -33,8 +33,10 @@
 //!      request — O(E) serial, the fallback when the shard phase starved
 //!      so much that the carried flow is stale.
 //!
-//!    Because any valid flow extends to a maximum flow by residual
-//!    augmentation (which may *reroute* shard-assigned flow), the reconciled
+//!    Both flavours augment through [`TargetedAugment`], the targeted
+//!    augmenting-path kernel the incremental matcher uses too. Because any
+//!    valid flow extends to a maximum flow by residual augmentation (which
+//!    may *reroute* shard-assigned flow), the reconciled
 //!    matching is globally maximum — sharding can never change a round's
 //!    feasibility, only the speed at which it is decided.
 //!
@@ -45,6 +47,7 @@
 //! witness is also a genuine global obstruction.
 
 use crate::arena::FlowArena;
+use crate::augment::TargetedAugment;
 use crate::candidates::{CandidateBuf, CandidateView, NO_STAMP};
 use crate::hall::{check_subset, find_obstruction, Obstruction};
 use crate::matching::ConnectionProblem;
@@ -255,10 +258,7 @@ pub struct ShardedArena {
     global: FlowArena,
     source_edges: Vec<usize>,
     sink_edges: Vec<usize>,
-    visit: Vec<u64>,
-    epoch: u64,
-    dfs_stack: Vec<(usize, Option<usize>)>,
-    path_edges: Vec<usize>,
+    search: TargetedAugment,
     // Persistent keyed reconciliation state. `persist_ok` is false whenever
     // the global arena no longer reflects the tracked instance (fresh arena,
     // or a rebuilding `reconcile` call clobbered it).
@@ -800,22 +800,20 @@ impl ShardedArena {
             }
         }
 
-        // Targeted augmentation from every unmatched request. Visit stamps
-        // persist across failed searches (a failure leaves the residual graph
-        // unchanged, so nodes proven unable to reach the source stay
-        // unreachable) and are refreshed after every successful augment.
-        self.visit.clear();
-        self.visit.resize(self.global.node_count(), 0);
-        self.epoch += 1;
+        // Targeted augmentation from every unmatched request (failure marks
+        // persist across failed searches, see `TargetedAugment`).
+        self.search.begin(&self.global);
         for x in 0..r_count {
             if self.global.flow_on(self.sink_edges[x]) != 0 {
                 continue;
             }
             let node = 1 + b_count + x;
             let sink_edge = self.sink_edges[x];
-            if self.augment_node(node, sink, sink_edge, b_count) {
+            if self
+                .search
+                .augment(&mut self.global, &self.source_edges, sink, node, sink_edge)
+            {
                 stats.repaired += 1;
-                self.epoch += 1;
             } else {
                 stats.unmatched += 1;
             }
@@ -945,7 +943,6 @@ impl ShardedArena {
             self.g_rebuild(capacities, keys, candidates);
             stats.rebuilt = true;
         }
-        let b_count = capacities.len();
 
         // Pass A: keep carried flow only where it agrees with the shard
         // phase (or where the shard phase has nothing). Disagreeing flow is
@@ -1011,10 +1008,8 @@ impl ShardedArena {
         }
 
         // Warm-started targeted augmentation from every still-unserved
-        // request (same stamp discipline as the rebuilding path; stale
-        // stamps from earlier rounds never collide with the bumped epoch).
-        self.visit.resize(self.global.node_count(), 0);
-        self.epoch += 1;
+        // request, through the same kernel as the rebuilding path.
+        self.search.begin(&self.global);
         for x in 0..keys.len() {
             let slot_idx = self.g_round_slots[x];
             let sink_edge = self.g_slots[slot_idx].sink_edge;
@@ -1022,10 +1017,15 @@ impl ShardedArena {
                 continue;
             }
             let node = self.g_slots[slot_idx].node;
-            if self.augment_node(node, self.g_sink, sink_edge, b_count) {
+            if self.search.augment(
+                &mut self.global,
+                &self.source_edges,
+                self.g_sink,
+                node,
+                sink_edge,
+            ) {
                 stats.repaired += 1;
                 self.g_total_flow += 1;
-                self.epoch += 1;
             } else {
                 stats.unmatched += 1;
             }
@@ -1375,73 +1375,6 @@ impl ShardedArena {
             source_out += flow;
         }
         source_out == self.g_total_flow && self.global.net_outflow(0) == self.g_total_flow
-    }
-
-    /// Searches a residual path `source → … → request` backwards from the
-    /// request node `root` and pushes one unit along it (plus `sink_edge`)
-    /// when found. Shared by both reconciliation flavours; boxes occupy
-    /// nodes `1..=b_count` in either layout.
-    fn augment_node(&mut self, root: usize, sink: usize, sink_edge: usize, b_count: usize) -> bool {
-        if self.visit[root] == self.epoch {
-            return false; // proven unreachable earlier this epoch
-        }
-        self.visit[root] = self.epoch;
-        self.dfs_stack.clear();
-        self.path_edges.clear();
-        self.dfs_stack.push((root, self.global.first_edge(root)));
-
-        while let Some(&(_node, cursor)) = self.dfs_stack.last() {
-            let mut cursor = cursor;
-            let mut descended = false;
-            while let Some(idx) = cursor {
-                let next_cursor = self.global.next_edge(idx);
-                let incoming = idx ^ 1;
-                let from = self.global.target(idx);
-                if from != sink
-                    && self.visit[from] != self.epoch
-                    && self.global.residual(incoming) > 0
-                {
-                    if from == 0 {
-                        self.global.push(incoming, 1);
-                        for k in 0..self.path_edges.len() {
-                            let e = self.path_edges[k];
-                            self.global.push(e, 1);
-                        }
-                        self.global.push(sink_edge, 1);
-                        return true;
-                    }
-                    // Shortcut: a box with spare source capacity completes
-                    // the path immediately (its source edge was added first,
-                    // so depth-first order would reach it last).
-                    if from >= 1 && from <= b_count {
-                        let source_edge = self.source_edges[from - 1];
-                        if self.global.residual(source_edge) > 0 {
-                            self.global.push(source_edge, 1);
-                            self.global.push(incoming, 1);
-                            for k in 0..self.path_edges.len() {
-                                let e = self.path_edges[k];
-                                self.global.push(e, 1);
-                            }
-                            self.global.push(sink_edge, 1);
-                            return true;
-                        }
-                    }
-                    self.visit[from] = self.epoch;
-                    let top = self.dfs_stack.len() - 1;
-                    self.dfs_stack[top].1 = next_cursor;
-                    self.path_edges.push(incoming);
-                    self.dfs_stack.push((from, self.global.first_edge(from)));
-                    descended = true;
-                    break;
-                }
-                cursor = next_cursor;
-            }
-            if !descended {
-                self.dfs_stack.pop();
-                self.path_edges.pop();
-            }
-        }
-        false
     }
 
     /// Extracts a shard-local Hall obstruction: solves shard `idx`'s

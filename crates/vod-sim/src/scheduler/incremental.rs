@@ -14,8 +14,16 @@
 //! * candidate-set changes patch edge capacities in place, reviving a
 //!   previously de-capacitated edge when a candidate returns (a box's cache
 //!   entry ageing out and re-appearing is common under churn);
-//! * the solver then *warm-starts* from the repaired residual flow, so it
-//!   only has to route the delta instead of re-solving from zero.
+//! * the repaired flow is valid but possibly not maximal. A few unserved
+//!   requests are repaired by targeted augmenting-path searches through
+//!   [`TargetedAugment`], the kernel shared with sharded reconciliation: on
+//!   entering a request it first looks one hop ahead for a candidate box
+//!   with spare capacity, and descends into full boxes only when none has
+//!   any. A large unserved set goes to the solver instead, which
+//!   *warm-starts* from the repaired residual flow;
+//! * extraction reads each request's supplier through a per-slot hint to the
+//!   candidate edge that carried its flow last round, verified against the
+//!   arena (`flow_on == 1`) before use, with a scan of the row as fallback.
 //!
 //! All bookkeeping (slots, edge lists, scratch buffers, the key map) reuses
 //! its allocations, so a steady-state round — same working set of requests —
@@ -28,7 +36,9 @@
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use vod_core::{BoxId, StripeId};
-use vod_flow::{CandidateBuf, CandidateView, Dinic, FlowArena, MaxFlowSolve, NodeId, NO_STAMP};
+use vod_flow::{
+    CandidateBuf, CandidateView, Dinic, FlowArena, MaxFlowSolve, NodeId, TargetedAugment, NO_STAMP,
+};
 use vod_obs::TraceHandle;
 
 /// Deterministic multiply-xor hasher for the request-key map: the default
@@ -67,6 +77,11 @@ struct RequestSlot {
     /// False until `given` reflects this slot's active edges (freshly
     /// allocated or recycled slots must run a full diff).
     given_valid: bool,
+    /// Index into `cand_edges` of the entry that carried the request's flow
+    /// when it was last extracted ([`NO_HINT`] when none). Only a hint: it
+    /// is checked against the arena before use, because later patches may
+    /// shift entries or reroute the flow.
+    served_hint: u32,
     /// The producer change stamp `given` was captured under
     /// ([`vod_flow::NO_STAMP`] when the producer attached none): an equal
     /// stamp on a later round proves the row unchanged without comparing it.
@@ -76,6 +91,14 @@ struct RequestSlot {
     /// Position of this request in the current round's input.
     pos: usize,
 }
+
+/// `RequestSlot::served_hint` when no entry is known to carry flow.
+const NO_HINT: u32 = u32::MAX;
+
+// The hint lives in the padding after `given_valid`: tens of thousands of
+// slots stay resident, so the slot must not grow.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<RequestSlot>() == 96);
 
 /// Reusable incremental matcher over one [`FlowArena`].
 ///
@@ -132,13 +155,8 @@ pub struct IncrementalMatcher {
     /// Slot index per input position for the current round (skips a second
     /// hash pass during extraction).
     round_slots: Vec<usize>,
-    /// Visit stamps for the targeted augmenting-path search.
-    visit_stamp: Vec<u64>,
-    visit_epoch: u64,
-    /// DFS scratch: `(node, adjacency cursor)` stack and the residual edges
-    /// of the current path (source-ward order).
-    dfs_stack: Vec<(NodeId, Option<usize>)>,
-    path_edges: Vec<usize>,
+    /// Targeted augmenting-path search (owns its marks and DFS scratch).
+    search: TargetedAugment,
     /// Scratch for the debug-only maximality check (kept allocation-free so
     /// steady-state rounds allocate nothing even in debug builds).
     dbg_seen: Vec<bool>,
@@ -178,10 +196,7 @@ impl IncrementalMatcher {
             added_cands: Vec::new(),
             stale_keys: Vec::new(),
             round_slots: Vec::new(),
-            visit_stamp: Vec::new(),
-            visit_epoch: 0,
-            dfs_stack: Vec::new(),
-            path_edges: Vec::new(),
+            search: TargetedAugment::new(),
             dbg_seen: Vec::new(),
             dbg_stack: Vec::new(),
             csr_bridge: CandidateBuf::new(),
@@ -325,6 +340,7 @@ impl IncrementalMatcher {
         self.free_slots.clear();
         for (idx, slot) in self.slots.iter_mut().enumerate() {
             slot.cand_edges.clear();
+            slot.served_hint = NO_HINT;
             slot.stamp = 0;
             slot.node = 0;
             slot.sink_edge = 0;
@@ -436,6 +452,7 @@ impl IncrementalMatcher {
         self.slots[slot_idx].stamp = self.stamp;
         self.slots[slot_idx].pos = pos;
         self.slots[slot_idx].given_valid = false;
+        self.slots[slot_idx].served_hint = NO_HINT;
         let previous = self.by_key.insert(key, slot_idx);
         assert!(
             previous.is_none(),
@@ -595,11 +612,8 @@ impl IncrementalMatcher {
         let slot_idx = self.by_key.remove(&key).expect("request is tracked");
         // Cancel any flow through the request.
         if self.arena.flow_on(self.slots[slot_idx].sink_edge) == 1 {
-            let carrying = self.slots[slot_idx]
-                .cand_edges
-                .iter()
-                .copied()
-                .find(|&(_, e)| self.arena.flow_on(e) == 1)
+            let carrying = self
+                .served_by(slot_idx)
                 .expect("served request has a flow-carrying candidate edge");
             self.cancel_assignment(slot_idx, carrying.0, carrying.1);
         }
@@ -621,97 +635,25 @@ impl IncrementalMatcher {
             .count()
     }
 
-    /// Attempts one augmenting path per unserved request of this round.
-    ///
-    /// Visit stamps persist across *failed* searches (the residual graph is
-    /// unchanged by a failure, so nodes proven unable to reach the source
-    /// stay unreachable) and are refreshed after every successful augment.
+    /// Attempts one augmenting path per unserved request of this round
+    /// (failure marks persist across failed searches, see
+    /// [`TargetedAugment`]).
     fn augment_unserved(&mut self) {
-        // Stale stamps can stay: the epoch is monotonic, so marks from
-        // earlier rounds never collide with the current epoch.
-        self.visit_stamp.resize(self.arena.node_count(), 0);
-        self.visit_epoch += 1;
-        for i in 0..self.round_slots.len() {
-            let slot_idx = self.round_slots[i];
-            let sink_edge = self.slots[slot_idx].sink_edge;
-            if self.arena.flow_on(sink_edge) == 0 && self.try_augment(slot_idx) {
+        self.search.begin(&self.arena);
+        for &slot_idx in &self.round_slots {
+            let slot = &self.slots[slot_idx];
+            if self.arena.flow_on(slot.sink_edge) == 0
+                && self.search.augment(
+                    &mut self.arena,
+                    &self.source_edges,
+                    self.sink,
+                    slot.node,
+                    slot.sink_edge,
+                )
+            {
                 self.total_flow += 1;
-                self.visit_epoch += 1;
             }
         }
-    }
-
-    /// Searches a residual path `source → … → request` backwards from the
-    /// request node and, when found, pushes one unit along it (plus the
-    /// request's sink edge). Returns whether the request is now served.
-    fn try_augment(&mut self, slot_idx: usize) -> bool {
-        let root = self.slots[slot_idx].node;
-        if self.visit_stamp[root] == self.visit_epoch {
-            return false; // proven unreachable earlier this epoch
-        }
-        self.visit_stamp[root] = self.visit_epoch;
-        self.dfs_stack.clear();
-        self.path_edges.clear();
-        self.dfs_stack.push((root, self.arena.first_edge(root)));
-
-        while let Some(&(_node, cursor)) = self.dfs_stack.last() {
-            // Incoming residual edges of `node` are the twins of the edges
-            // in its adjacency list.
-            let mut cursor = cursor;
-            let mut descended = false;
-            while let Some(idx) = cursor {
-                let next_cursor = self.arena.next_edge(idx);
-                let incoming = idx ^ 1;
-                let from = self.arena.target(idx);
-                if from != self.sink
-                    && self.visit_stamp[from] != self.visit_epoch
-                    && self.arena.residual(incoming) > 0
-                {
-                    if from == 0 {
-                        // Reached the source: push flow along the path.
-                        self.arena.push(incoming, 1);
-                        for k in 0..self.path_edges.len() {
-                            let e = self.path_edges[k];
-                            self.arena.push(e, 1);
-                        }
-                        self.arena.push(self.slots[slot_idx].sink_edge, 1);
-                        return true;
-                    }
-                    // Shortcut: a box with spare source capacity completes
-                    // the path immediately. Without this, depth-first order
-                    // (most-recent edge first) would wander through the
-                    // box's alternating tree before reaching its source
-                    // edge, which was added first and is iterated last.
-                    if from >= 1 && from <= self.caps.len() {
-                        let source_edge = self.source_edges[from - 1];
-                        if self.arena.residual(source_edge) > 0 {
-                            self.arena.push(source_edge, 1);
-                            self.arena.push(incoming, 1);
-                            for k in 0..self.path_edges.len() {
-                                let e = self.path_edges[k];
-                                self.arena.push(e, 1);
-                            }
-                            self.arena.push(self.slots[slot_idx].sink_edge, 1);
-                            return true;
-                        }
-                    }
-                    self.visit_stamp[from] = self.visit_epoch;
-                    // Remember where to resume on `node`, descend to `from`.
-                    let top = self.dfs_stack.len() - 1;
-                    self.dfs_stack[top].1 = next_cursor;
-                    self.path_edges.push(incoming);
-                    self.dfs_stack.push((from, self.arena.first_edge(from)));
-                    descended = true;
-                    break;
-                }
-                cursor = next_cursor;
-            }
-            if !descended {
-                self.dfs_stack.pop();
-                self.path_edges.pop();
-            }
-        }
-        false
     }
 
     /// Debug check: no augmenting path is left (every unserved request of
@@ -728,19 +670,49 @@ impl IncrementalMatcher {
     }
 
     /// Writes the assignment for this round's requests into `out`.
-    fn extract(&self, out: &mut Vec<Option<BoxId>>) {
+    fn extract(&mut self, out: &mut Vec<Option<BoxId>>) {
         out.clear();
         out.resize(self.round_slots.len(), None);
-        for (pos, &slot_idx) in self.round_slots.iter().enumerate() {
-            let slot = &self.slots[slot_idx];
-            debug_assert_eq!(slot.pos, pos);
-            out[pos] = slot
+        for (pos, served) in out.iter_mut().enumerate() {
+            let slot_idx = self.round_slots[pos];
+            debug_assert_eq!(self.slots[slot_idx].pos, pos);
+            *served = self.served_by(slot_idx).map(|(b, _)| b);
+        }
+    }
+
+    /// The candidate entry carrying the request's flow, if any. Reads the
+    /// slot's hint first and trusts it only when the arena confirms the
+    /// flow; otherwise scans the row (skipped for an unserved request) and
+    /// re-aims the hint.
+    fn served_by(&mut self, slot_idx: usize) -> Option<(BoxId, usize)> {
+        let slot = &self.slots[slot_idx];
+        let hinted = slot
+            .cand_edges
+            .get(slot.served_hint as usize)
+            .copied()
+            .filter(|&(_, e)| self.arena.flow_on(e) == 1);
+        let served = match hinted {
+            Some(entry) => Some(entry),
+            None if self.arena.flow_on(slot.sink_edge) == 0 => None,
+            None => {
+                let at = slot
+                    .cand_edges
+                    .iter()
+                    .position(|&(_, e)| self.arena.flow_on(e) == 1);
+                self.slots[slot_idx].served_hint = at.map_or(NO_HINT, |i| i as u32);
+                at.map(|i| self.slots[slot_idx].cand_edges[i])
+            }
+        };
+        debug_assert_eq!(
+            served,
+            self.slots[slot_idx]
                 .cand_edges
                 .iter()
                 .copied()
-                .find(|&(_, e)| self.arena.flow_on(e) == 1)
-                .map(|(b, _)| b);
-        }
+                .find(|&(_, e)| self.arena.flow_on(e) == 1),
+            "served-edge hint disagrees with a full scan of the row"
+        );
+        served
     }
 
     /// Debug check: the arena's flow is a valid flow of value `total_flow`.

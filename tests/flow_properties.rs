@@ -1208,3 +1208,92 @@ fn global_relabel_push_relabel_matches_on_raw_networks() {
         assert_eq!(g.net_outflow(sink), -pr, "seed {seed}: sink inflow");
     }
 }
+
+/// Multi-round churn over saturated boxes and long candidate rows — the
+/// flash-crowd shape where the targeted augmenting-path kernel must
+/// displace holders from full boxes. Every round the incremental matcher
+/// and a two-shard sharded matcher (whose reconciliation runs the same
+/// kernel) serve exactly as many requests as the Edmonds–Karp reference,
+/// with valid assignments, through arrivals, departures, candidate churn
+/// and the odd capacity change.
+#[test]
+fn targeted_augmentation_matches_reference_on_saturated_churning_rounds() {
+    let (mut reconciles, mut reconcile_rebuilds) = (0, 0);
+    for seed in 0..CASES / 4 {
+        let mut rng = StdRng::seed_from_u64(23_000 + seed);
+        let boxes = rng.gen_range(6usize..16);
+        let mut caps: Vec<u32> = (0..boxes).map(|_| rng.gen_range(1u32..4)).collect();
+        let total_cap: usize = caps.iter().map(|&c| c as usize).sum();
+        let swarms = rng.gen_range(2u32..5);
+        let long_row = |rng: &mut StdRng| -> Vec<BoxId> {
+            let degree = rng.gen_range(boxes / 2..=boxes);
+            (0..degree)
+                .map(|_| BoxId(rng.gen_range(0usize..boxes) as u32))
+                .collect()
+        };
+        let mut incremental = IncrementalMatcher::default();
+        let mut sharded = ShardedMatcher::new(2);
+        let (mut inc_out, mut shard_out) = (Vec::new(), Vec::new());
+        let mut live: Vec<(RequestKey, Vec<BoxId>)> = Vec::new();
+        let mut next_viewer = 0u32;
+        for round in 0..24u64 {
+            // Arrivals until demand overshoots the fleet's capacity.
+            for _ in 0..rng.gen_range(0..total_cap / 2 + 2) {
+                let key = RequestKey {
+                    viewer: BoxId(next_viewer),
+                    stripe: StripeId::new(VideoId(rng.gen_range(0..swarms)), 0),
+                };
+                next_viewer += 1;
+                live.push((key, long_row(&mut rng)));
+            }
+            // Departures.
+            while live.len() > total_cap * 3 / 2 || (rng.gen_bool(0.4) && !live.is_empty()) {
+                live.remove(rng.gen_range(0usize..live.len()));
+            }
+            // Candidate churn: grow, shrink or replace a few survivors' rows.
+            for _ in 0..rng.gen_range(0usize..4) {
+                if live.is_empty() {
+                    break;
+                }
+                let victim = rng.gen_range(0usize..live.len());
+                let row = &mut live[victim].1;
+                match rng.gen_range(0u32..3) {
+                    0 => row.push(BoxId(rng.gen_range(0usize..boxes) as u32)),
+                    1 if !row.is_empty() => {
+                        row.remove(rng.gen_range(0usize..row.len()));
+                    }
+                    _ => *row = long_row(&mut rng),
+                }
+            }
+            if rng.gen_bool(0.1) {
+                caps[rng.gen_range(0usize..boxes)] = rng.gen_range(0u32..4);
+            }
+
+            let keys: Vec<RequestKey> = live.iter().map(|(k, _)| *k).collect();
+            let cands: Vec<Vec<BoxId>> = live.iter().map(|(_, c)| c.clone()).collect();
+            incremental.schedule_keyed(&caps, &keys, &cands, &mut inc_out);
+            Scheduler::schedule_keyed(&mut sharded, &caps, &keys, &cands, &mut shard_out);
+
+            let reference = build_problem(&caps, &cands)
+                .solve_with(&mut EdmondsKarp)
+                .served();
+            for (name, out) in [("incremental", &inc_out), ("sharded", &shard_out)] {
+                assert_eq!(
+                    out.iter().flatten().count(),
+                    reference,
+                    "{name} seed {seed} round {round}: served vs Edmonds–Karp"
+                );
+                assert!(
+                    vod_sim::scheduler::assignment_is_valid(out, &caps, &cands),
+                    "{name} seed {seed} round {round}: invalid assignment"
+                );
+            }
+        }
+        reconciles += sharded.reconcile_rounds();
+        reconcile_rebuilds += sharded.reconcile_rebuilds();
+    }
+    assert!(
+        reconciles > reconcile_rebuilds,
+        "the persistent reconcile path never ran ({reconciles} reconciles, {reconcile_rebuilds} rebuilds)"
+    );
+}
