@@ -12,6 +12,10 @@
 //!   [`TargetedAugment`] that restores maximality after a warm start (with a
 //!   one-hop spare-box lookahead), shared by the incremental matcher and
 //!   sharded reconciliation;
+//! * [`keyed`] — the persistent keyed network [`KeyedFlow`]: one Lemma-1
+//!   instance kept alive across rounds and patched by request key (slot
+//!   pool, per-row sort-and-diff, capacity and departure patches), shared by
+//!   the incremental matcher and sharded reconciliation;
 //! * [`candidates`] — the pooled flat CSR candidate representation
 //!   ([`CandidateBuf`] / borrowed [`CandidateView`], with optional per-row
 //!   change stamps) shared by every candidate-consuming stage;
@@ -72,6 +76,7 @@ pub mod expander;
 mod graph;
 pub mod hall;
 pub mod hopcroft_karp;
+pub mod keyed;
 pub mod matching;
 pub mod push_relabel;
 pub mod relay;
@@ -86,6 +91,7 @@ pub use dinic::Dinic;
 pub use expander::{sample_expansion, ExpansionProfile};
 pub use hall::{check_subset, find_obstruction, find_obstruction_in, verify_lemma1, Obstruction};
 pub use hopcroft_karp::{BitHopcroftKarp, HopcroftKarpSolve};
+pub use keyed::KeyedFlow;
 pub use matching::{ConnectionMatching, ConnectionProblem};
 pub use push_relabel::PushRelabel;
 pub use relay::{RelayMatching, RelayNetwork, RelayObstruction, RelayView, StarvedReservation};

@@ -21,24 +21,22 @@
 //!    coordination;
 //! 3. reconciliation repairs whatever the budget split got wrong:
 //!    * [`ShardedArena::reconcile_keyed`] keeps the global network (and its
-//!      flow) **alive across rounds**: requests carry a stable opaque key,
-//!      each call diffs the incoming round against the tracked instance
-//!      (arrivals, retirements, candidate-edge changes, capacity changes)
-//!      and warm-starts the augmentation from the previous round's residual
-//!      state — mirroring what the incremental matcher does for the global
-//!      scheduling path, so a reconciled round costs O(Δ) instead of O(E);
+//!      flow) **alive across rounds** in a [`KeyedFlow`] keyed by an opaque
+//!      request id, the same persistent instance the incremental matcher
+//!      uses, so a reconciled round costs O(Δ) instead of O(E). This module
+//!      adds only the reconciliation policy: a drift pre-pass, adoption of
+//!      the shard assignment, and a tighter compaction bound;
 //!    * [`ShardedArena::reconcile`] rebuilds the *global* Lemma-1 network
-//!      from scratch inside a pooled [`FlowArena`], preloads the flow found
-//!      by the shard solves, and augments from every still-unmatched
-//!      request — O(E) serial, the fallback when the shard phase starved
-//!      so much that the carried flow is stale.
+//!      from scratch in the keyed instance's borrowed arena, preloads the
+//!      flow found by the shard solves, and augments from every
+//!      still-unmatched request — O(E) serial, the fallback when the shard
+//!      phase starved so much that the carried flow is stale.
 //!
-//!    Both flavours augment through [`TargetedAugment`], the targeted
-//!    augmenting-path kernel the incremental matcher uses too. Because any
+//!    Both flavours augment through [`crate::TargetedAugment`]. Because any
 //!    valid flow extends to a maximum flow by residual augmentation (which
-//!    may *reroute* shard-assigned flow), the reconciled
-//!    matching is globally maximum — sharding can never change a round's
-//!    feasibility, only the speed at which it is decided.
+//!    may *reroute* shard-assigned flow), the reconciled matching is
+//!    globally maximum — sharding can never change a round's feasibility,
+//!    only the speed at which it is decided.
 //!
 //! [`ShardedArena::shard_obstruction`] extracts a shard-local Hall violator:
 //! a shard whose subproblem is infeasible *under the full (unsplit) box
@@ -46,21 +44,11 @@
 //! since its candidate sets are unchanged from the global instance, the
 //! witness is also a genuine global obstruction.
 
-use crate::arena::FlowArena;
-use crate::augment::TargetedAugment;
-use crate::candidates::{CandidateBuf, CandidateView, NO_STAMP};
+use crate::candidates::{CandidateBuf, CandidateView};
 use crate::hall::{check_subset, find_obstruction, Obstruction};
+use crate::keyed::KeyedFlow;
 use crate::matching::ConnectionProblem;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use vod_core::BoxId;
-
-/// Deterministic multiply-xor hasher for the persistent reconciliation key
-/// map: the default SipHash dominates the per-round diff cost at thousands
-/// of lookups per reconcile, and HashDoS resistance is irrelevant for
-/// scheduler-internal keys. Determinism of the map's iteration order is not
-/// relied on (stale keys are sorted before removal).
-type ReconcileKeyHasher = vod_core::FxHasher64;
 
 /// One shard of a partitioned round, borrowed out of the pooled storage.
 #[derive(Clone, Copy, Debug)]
@@ -175,31 +163,6 @@ struct ShardInfo {
     box_end: u32,
 }
 
-/// Persistent request slot of the keyed reconciliation arena: its node in
-/// the global network plus every candidate edge ever created for it. Slots
-/// (and their edge lists) are pooled and reused across rounds.
-#[derive(Clone, Debug, Default)]
-struct GlobalSlot {
-    node: usize,
-    sink_edge: usize,
-    /// Candidate edges ever created for this node, sorted by box id. An edge
-    /// is *active* when its capacity is 1, de-capacitated (0) otherwise.
-    cand_edges: Vec<(BoxId, usize)>,
-    /// The raw candidate list as last given (pre-sort), letting unchanged
-    /// requests skip the sort-and-diff entirely.
-    given: Vec<BoxId>,
-    /// False until `given` reflects this slot's active edges.
-    given_valid: bool,
-    /// The producer change stamp `given` was captured under
-    /// ([`crate::candidates::NO_STAMP`] when the producer attached none):
-    /// an equal stamp on a later call proves the row unchanged without even
-    /// comparing it — the engine's candidate-index diffs handed down as
-    /// precomputed deltas.
-    given_stamp: u64,
-    /// Stamp of the last reconcile call that listed this request.
-    stamp: u64,
-}
-
 /// Pooled per-swarm sharding of a round's flow network.
 ///
 /// All storage is flat and reused across rounds: after warm-up a
@@ -254,29 +217,13 @@ pub struct ShardedArena {
     relay_stamp: Vec<u32>,
     relay_slot: Vec<u32>,
     relay_by_box: Vec<(u32, u32)>,
-    // Reconciliation state shared by both flavours.
-    global: FlowArena,
+    // Reconciliation: the persistent network, which lends its arena and
+    // search to the rebuilding `reconcile_view` (with its own edge lists).
+    keyed: KeyedFlow<u128>,
+    /// Heavy-drift keyed calls rerouted through the rebuilding path.
+    drift_rebuilds: u64,
     source_edges: Vec<usize>,
     sink_edges: Vec<usize>,
-    search: TargetedAugment,
-    // Persistent keyed reconciliation state. `persist_ok` is false whenever
-    // the global arena no longer reflects the tracked instance (fresh arena,
-    // or a rebuilding `reconcile` call clobbered it).
-    persist_ok: bool,
-    g_caps: Vec<u32>,
-    g_sink: usize,
-    g_slots: Vec<GlobalSlot>,
-    g_by_key: HashMap<u128, usize, BuildHasherDefault<ReconcileKeyHasher>>,
-    g_free: Vec<usize>,
-    g_node_slot: Vec<usize>,
-    g_round_slots: Vec<usize>,
-    g_stamp: u64,
-    g_total_flow: i64,
-    g_dead_pairs: usize,
-    g_rebuilds: u64,
-    g_stale: Vec<u128>,
-    g_sorted_cands: Vec<BoxId>,
-    g_added_cands: Vec<BoxId>,
     /// Pooled CSR bridge for the slice-of-vecs entry points (the view-based
     /// `*_view` methods are the native path).
     csr_bridge: CandidateBuf,
@@ -747,17 +694,17 @@ impl ShardedArena {
             assignment.len(),
             "one assignment slot per request"
         );
-        // This rebuild clobbers the shared arena and source edges, so the
-        // persistent instance no longer matches the network.
-        self.persist_ok = false;
+        // This rebuild borrows the persistent network's arena, so the keyed
+        // instance must be rebuilt on its next call.
+        let (global, search) = self.keyed.scratch();
         let b_count = capacities.len();
         let r_count = candidates.len();
         let sink = b_count + r_count + 1;
-        self.global.clear(b_count + r_count + 2);
+        global.clear(b_count + r_count + 2);
         self.source_edges.clear();
         for (i, &cap) in capacities.iter().enumerate() {
             self.source_edges
-                .push(self.global.add_edge(0, 1 + i, cap as i64));
+                .push(global.add_edge(0, 1 + i, cap as i64));
         }
         let mut stats = ReconcileStats {
             rebuilt: true,
@@ -771,20 +718,20 @@ impl ShardedArena {
                 if cand.index() >= b_count {
                     continue;
                 }
-                let edge = self.global.add_edge(1 + cand.index(), node, 1);
+                let edge = global.add_edge(1 + cand.index(), node, 1);
                 if assignment[x] == Some(cand) && preload.is_none() {
                     preload = Some((cand, edge));
                 }
             }
-            let sink_edge = self.global.add_edge(node, sink, 1);
+            let sink_edge = global.add_edge(node, sink, 1);
             self.sink_edges.push(sink_edge);
             match preload {
                 Some((cand, edge)) => {
                     let source_edge = self.source_edges[cand.index()];
-                    if self.global.residual(source_edge) > 0 {
-                        self.global.push(source_edge, 1);
-                        self.global.push(edge, 1);
-                        self.global.push(sink_edge, 1);
+                    if global.residual(source_edge) > 0 {
+                        global.push(source_edge, 1);
+                        global.push(edge, 1);
+                        global.push(sink_edge, 1);
                         stats.preloaded += 1;
                     } else {
                         assignment[x] = None;
@@ -802,17 +749,14 @@ impl ShardedArena {
 
         // Targeted augmentation from every unmatched request (failure marks
         // persist across failed searches, see `TargetedAugment`).
-        self.search.begin(&self.global);
+        search.begin(global);
         for x in 0..r_count {
-            if self.global.flow_on(self.sink_edges[x]) != 0 {
+            if global.flow_on(self.sink_edges[x]) != 0 {
                 continue;
             }
             let node = 1 + b_count + x;
             let sink_edge = self.sink_edges[x];
-            if self
-                .search
-                .augment(&mut self.global, &self.source_edges, sink, node, sink_edge)
-            {
+            if search.augment(global, &self.source_edges, sink, node, sink_edge) {
                 stats.repaired += 1;
             } else {
                 stats.unmatched += 1;
@@ -826,11 +770,11 @@ impl ShardedArena {
             *slot = None;
             // Outgoing entries of a request node are its sink edge plus the
             // residual twins of its incoming candidate edges.
-            let mut cursor = self.global.first_edge(node);
+            let mut cursor = global.first_edge(node);
             while let Some(idx) = cursor {
-                cursor = self.global.next_edge(idx);
-                if idx % 2 == 1 && self.global.flow_on(idx ^ 1) == 1 {
-                    let box_node = self.global.target(idx);
+                cursor = global.next_edge(idx);
+                if idx % 2 == 1 && global.flow_on(idx ^ 1) == 1 {
+                    let box_node = global.target(idx);
                     debug_assert!(box_node >= 1 && box_node <= b_count);
                     *slot = Some(BoxId((box_node - 1) as u32));
                     break;
@@ -911,36 +855,29 @@ impl ShardedArena {
         // bloat taxes each event; rebuilds here are cheap relative to the
         // rounds between reconciles (a tighter bound than the incremental
         // matcher's one-half, which patches every round).
-        let total_pairs = self.global.edge_count() / 2;
-        let needs_compaction = total_pairs > 64 && self.g_dead_pairs * 4 > total_pairs;
-        // Reconciles are skipped on fully-served rounds, so several rounds
-        // of churn can pile up between calls. Patching beats rebuilding only
-        // while most tracked requests survive: a diffed request costs a hash
-        // lookup plus a sorted-edge merge, a rebuilt one a straight append.
-        // A cheap lookup-only pre-pass estimates the drift (the lookups are
-        // a fraction of the patch cost); when more than half the instance
-        // churned, warmth is worthless and the plain unkeyed rebuild — which
-        // skips the keyed bookkeeping entirely — is the cheapest repair.
-        if self.persist_ok && capacities.len() == self.g_caps.len() && !needs_compaction {
-            let hits = keys
-                .iter()
-                .filter(|key| self.g_by_key.contains_key(key))
-                .count();
+        if self.keyed.can_patch(capacities.len(), 4) {
+            // Reconciles are skipped on fully-served rounds, so several
+            // rounds of churn can pile up between calls. Patching beats
+            // rebuilding only while most tracked requests survive: a diffed
+            // request costs a hash lookup plus a sorted-edge merge, a
+            // rebuilt one a straight append. A cheap lookup-only pre-pass
+            // estimates the drift (the lookups are a fraction of the patch
+            // cost); when more than half the instance churned, warmth is
+            // worthless and the plain unkeyed rebuild — which skips the
+            // keyed bookkeeping entirely — is the cheapest repair.
+            let hits = keys.iter().filter(|key| self.keyed.contains(key)).count();
             // Saturating: a duplicated tracked key can push `hits` past the
-            // tracked count; the patch path then raises the documented
+            // tracked count; the patch then raises the documented
             // duplicate-key panic rather than underflowing here.
             let changed =
-                keys.len().saturating_sub(hits) + self.g_by_key.len().saturating_sub(hits);
+                keys.len().saturating_sub(hits) + self.keyed.tracked().saturating_sub(hits);
             if changed * 2 > keys.len() {
-                // A genuine full rebuild, even though it runs through the
-                // unkeyed path — count it so the rebuild-rate observability
-                // matches what actually happened.
-                self.g_rebuilds += 1;
+                self.drift_rebuilds += 1;
                 return self.reconcile_view(capacities, candidates, assignment);
             }
-            stats.retired = self.g_patch(capacities, keys, candidates);
+            stats.retired = self.keyed.patch(capacities, keys, candidates);
         } else {
-            self.g_rebuild(capacities, keys, candidates);
+            self.keyed.rebuild(capacities, keys, candidates);
             stats.rebuilt = true;
         }
 
@@ -952,54 +889,21 @@ impl ShardedArena {
         // better warm start: it is fresh (the carried flow may be several
         // churned rounds stale) and valid under the capacity-disjoint split.
         for (x, &tentative) in assignment.iter().enumerate() {
-            let slot_idx = self.g_round_slots[x];
-            if self.global.flow_on(self.g_slots[slot_idx].sink_edge) != 1 {
-                continue;
-            }
-            let Some(want) = tentative else { continue };
-            let carrying = self.g_slots[slot_idx]
-                .cand_edges
-                .iter()
-                .copied()
-                .find(|&(_, e)| self.global.flow_on(e) == 1)
-                .expect("served request has a flow-carrying candidate edge");
-            if carrying.0 != want {
-                self.g_cancel(slot_idx, carrying.0, carrying.1);
+            if let Some(want) = tentative {
+                self.keyed.release_unless(x, want);
             }
         }
 
         // Pass B: adopt the shard-phase assignment into every request the
         // (surviving) carried flow does not already serve.
         for (x, tentative) in assignment.iter_mut().enumerate() {
-            let slot_idx = self.g_round_slots[x];
-            let sink_edge = self.g_slots[slot_idx].sink_edge;
-            if self.global.flow_on(sink_edge) == 1 {
+            if self.keyed.is_served(x) {
                 stats.carried += 1;
                 stats.preloaded += 1;
                 continue;
             }
             let Some(want) = *tentative else { continue };
-            let cand_edge = self.g_slots[slot_idx]
-                .cand_edges
-                .iter()
-                .find(|&&(bx, e)| bx == want && self.global.edge(e).original_cap == 1)
-                .map(|&(_, e)| e);
-            let adopted = match cand_edge {
-                Some(edge) => {
-                    let source_edge = self.source_edges[want.index()];
-                    if self.global.residual(source_edge) > 0 {
-                        self.global.push(source_edge, 1);
-                        self.global.push(edge, 1);
-                        self.global.push(sink_edge, 1);
-                        self.g_total_flow += 1;
-                        true
-                    } else {
-                        false
-                    }
-                }
-                None => false,
-            };
-            if adopted {
+            if self.keyed.adopt(x, want) {
                 stats.preloaded += 1;
             } else {
                 *tentative = None;
@@ -1008,40 +912,10 @@ impl ShardedArena {
         }
 
         // Warm-started targeted augmentation from every still-unserved
-        // request, through the same kernel as the rebuilding path.
-        self.search.begin(&self.global);
-        for x in 0..keys.len() {
-            let slot_idx = self.g_round_slots[x];
-            let sink_edge = self.g_slots[slot_idx].sink_edge;
-            if self.global.flow_on(sink_edge) != 0 {
-                continue;
-            }
-            let node = self.g_slots[slot_idx].node;
-            if self.search.augment(
-                &mut self.global,
-                &self.source_edges,
-                self.g_sink,
-                node,
-                sink_edge,
-            ) {
-                stats.repaired += 1;
-                self.g_total_flow += 1;
-            } else {
-                stats.unmatched += 1;
-            }
-        }
-
-        // Extraction: rerouting may have changed any request's supplier.
-        for (x, slot) in assignment.iter_mut().enumerate() {
-            let slot_idx = self.g_round_slots[x];
-            *slot = self.g_slots[slot_idx]
-                .cand_edges
-                .iter()
-                .copied()
-                .find(|&(_, e)| self.global.flow_on(e) == 1)
-                .map(|(b, _)| b);
-        }
-        debug_assert!(self.g_flow_is_consistent());
+        // request, then extraction: rerouting may have changed any
+        // request's supplier.
+        (stats.repaired, stats.unmatched) = self.keyed.augment_unserved();
+        self.keyed.extract(assignment);
         stats
     }
 
@@ -1050,331 +924,18 @@ impl ShardedArena {
     /// after the first keyed call; steady low-drift reconciles must not add
     /// more except for dead-edge compaction).
     pub fn reconcile_rebuilds(&self) -> u64 {
-        self.g_rebuilds
+        self.keyed.rebuilds() + self.drift_rebuilds
     }
 
     /// Requests currently tracked by the persistent reconciliation instance.
     pub fn tracked_requests(&self) -> usize {
-        self.g_by_key.len()
+        self.keyed.tracked()
     }
 
     /// Directed edge count of the persistent reconciliation network (twins
     /// included) — observability for the compaction heuristic.
     pub fn reconcile_arena_edges(&self) -> usize {
-        self.global.edge_count()
-    }
-
-    /// Full reconstruction of the persistent instance inside the reused
-    /// arena (zero flow; the caller re-adopts and augments).
-    fn g_rebuild(&mut self, capacities: &[u32], keys: &[u128], candidates: CandidateView<'_>) {
-        let b_count = capacities.len();
-        self.global.clear(b_count + 2);
-        self.g_sink = b_count + 1;
-        self.g_caps.clear();
-        self.g_caps.extend_from_slice(capacities);
-        self.source_edges.clear();
-        for (i, &cap) in capacities.iter().enumerate() {
-            self.source_edges
-                .push(self.global.add_edge(0, 1 + i, cap as i64));
-        }
-        // Recycle every slot: clear its edges but keep the allocations. The
-        // arena was cleared, so stale node/edge ids must be forgotten
-        // (`node == 0` marks "no node": node 0 is always the source).
-        self.g_by_key.clear();
-        self.g_free.clear();
-        for (idx, slot) in self.g_slots.iter_mut().enumerate() {
-            slot.cand_edges.clear();
-            slot.node = 0;
-            slot.sink_edge = 0;
-            slot.stamp = 0;
-            slot.given_valid = false;
-            self.g_free.push(idx);
-        }
-        self.g_node_slot.clear();
-        self.g_node_slot.resize(b_count + 2, usize::MAX);
-        self.g_total_flow = 0;
-        self.g_dead_pairs = 0;
-        self.g_stamp += 1;
-        self.g_round_slots.clear();
-        for (x, key) in keys.iter().enumerate() {
-            let slot_idx = self.g_alloc(*key);
-            self.g_set_candidates(slot_idx, candidates.row(x), candidates.row_stamp(x));
-            self.g_round_slots.push(slot_idx);
-        }
-        self.g_rebuilds += 1;
-        self.persist_ok = true;
-    }
-
-    /// Diffs the incoming round against the tracked instance, patching the
-    /// persistent network in place. Returns the number of retired requests.
-    fn g_patch(
-        &mut self,
-        capacities: &[u32],
-        keys: &[u128],
-        candidates: CandidateView<'_>,
-    ) -> usize {
-        self.g_stamp += 1;
-
-        // Per-box capacity changes (rare: capacities are static per system).
-        for (i, &cap) in capacities.iter().enumerate() {
-            if cap != self.g_caps[i] {
-                self.g_patch_capacity(i, cap);
-            }
-        }
-
-        // Upsert this round's requests.
-        self.g_round_slots.clear();
-        let mut arrivals = false;
-        for (x, key) in keys.iter().enumerate() {
-            let slot_idx = match self.g_by_key.get(key) {
-                Some(&idx) => {
-                    assert_ne!(
-                        self.g_slots[idx].stamp, self.g_stamp,
-                        "duplicate reconcile key {key:?} in one round"
-                    );
-                    self.g_slots[idx].stamp = self.g_stamp;
-                    idx
-                }
-                None => {
-                    arrivals = true;
-                    self.g_alloc(*key)
-                }
-            };
-            self.g_set_candidates(slot_idx, candidates.row(x), candidates.row_stamp(x));
-            self.g_round_slots.push(slot_idx);
-        }
-
-        // Sweep requests that disappeared since the last reconcile. With no
-        // arrivals and matching cardinality the tracked set is exactly the
-        // input set, so the sweep can be skipped.
-        let mut retired = 0;
-        if arrivals || self.g_by_key.len() != keys.len() {
-            self.g_stale.clear();
-            for (key, &slot_idx) in &self.g_by_key {
-                if self.g_slots[slot_idx].stamp != self.g_stamp {
-                    self.g_stale.push(*key);
-                }
-            }
-            // Sort so the removal order — and therefore slot reuse, edge
-            // creation order, and ultimately the produced schedule — is
-            // independent of hash-map iteration order.
-            self.g_stale.sort_unstable();
-            let mut stale = std::mem::take(&mut self.g_stale);
-            retired = stale.len();
-            for key in stale.drain(..) {
-                self.g_remove(key);
-            }
-            self.g_stale = stale;
-        }
-        retired
-    }
-
-    /// Registers a new request under `key`, reusing a pooled slot (and its
-    /// node plus edge list) when one is free.
-    fn g_alloc(&mut self, key: u128) -> usize {
-        let slot_idx = match self.g_free.pop() {
-            Some(idx) => idx,
-            None => {
-                self.g_slots.push(GlobalSlot::default());
-                self.g_slots.len() - 1
-            }
-        };
-        // A recycled slot keeps its node and sink edge if it has them from a
-        // previous life in the *current* network; otherwise create both.
-        if self.g_slots[slot_idx].node == 0 {
-            let node = self.global.add_node();
-            let sink_edge = self.global.add_edge(node, self.g_sink, 1);
-            self.g_node_slot
-                .resize(self.global.node_count(), usize::MAX);
-            let slot = &mut self.g_slots[slot_idx];
-            slot.node = node;
-            slot.sink_edge = sink_edge;
-        } else {
-            let sink_edge = self.g_slots[slot_idx].sink_edge;
-            if self.global.edge(sink_edge).original_cap == 0 {
-                self.global.set_capacity(sink_edge, 1);
-                self.g_dead_pairs -= 1;
-            }
-        }
-        let node = self.g_slots[slot_idx].node;
-        self.g_node_slot[node] = slot_idx;
-        self.g_slots[slot_idx].stamp = self.g_stamp;
-        self.g_slots[slot_idx].given_valid = false;
-        let previous = self.g_by_key.insert(key, slot_idx);
-        assert!(
-            previous.is_none(),
-            "duplicate reconcile key {key:?} in one round"
-        );
-        slot_idx
-    }
-
-    /// Patches the slot's candidate edges to match `cands`: revives or
-    /// creates edges for current candidates, de-capacitates edges for
-    /// dropped ones (cancelling their flow first).
-    fn g_set_candidates(&mut self, slot_idx: usize, cands: &[BoxId], stamp: u64) {
-        // Fastest path: the producer's change stamp proves the row unchanged
-        // since the last sync of this slot — no comparison needed at all.
-        if self.g_slots[slot_idx].given_valid
-            && stamp != NO_STAMP
-            && self.g_slots[slot_idx].given_stamp == stamp
-        {
-            debug_assert_eq!(self.g_slots[slot_idx].given, *cands, "stale change stamp");
-            return;
-        }
-        // Fast path: identical raw candidate list → active edges already
-        // match, nothing to sort or diff.
-        if self.g_slots[slot_idx].given_valid && self.g_slots[slot_idx].given == *cands {
-            self.g_slots[slot_idx].given_stamp = stamp;
-            return;
-        }
-        let boxes = self.g_caps.len();
-        self.g_sorted_cands.clear();
-        self.g_sorted_cands
-            .extend(cands.iter().copied().filter(|b| b.index() < boxes));
-        self.g_sorted_cands.sort();
-        self.g_sorted_cands.dedup();
-
-        self.g_added_cands.clear();
-        // Two-pointer diff over the sorted edge list and candidate list.
-        let mut edge_cursor = 0;
-        let mut cand_cursor = 0;
-        while edge_cursor < self.g_slots[slot_idx].cand_edges.len()
-            || cand_cursor < self.g_sorted_cands.len()
-        {
-            let edge_entry = self.g_slots[slot_idx].cand_edges.get(edge_cursor).copied();
-            let cand = self.g_sorted_cands.get(cand_cursor).copied();
-            match (edge_entry, cand) {
-                (Some((edge_box, edge)), Some(cand_box)) if edge_box == cand_box => {
-                    if self.global.edge(edge).original_cap == 0 {
-                        self.global.set_capacity(edge, 1);
-                        self.g_dead_pairs -= 1;
-                    }
-                    edge_cursor += 1;
-                    cand_cursor += 1;
-                }
-                (Some((edge_box, edge)), Some(cand_box)) if edge_box < cand_box => {
-                    self.g_deactivate(slot_idx, edge_box, edge);
-                    edge_cursor += 1;
-                }
-                (Some((edge_box, edge)), None) => {
-                    self.g_deactivate(slot_idx, edge_box, edge);
-                    edge_cursor += 1;
-                }
-                (_, Some(cand_box)) => {
-                    self.g_added_cands.push(cand_box);
-                    cand_cursor += 1;
-                }
-                (None, None) => unreachable!("loop condition"),
-            }
-        }
-        // Append the new edges, keeping the list sorted by box id.
-        let node = self.g_slots[slot_idx].node;
-        let mut added = std::mem::take(&mut self.g_added_cands);
-        for &cand_box in added.iter() {
-            let edge = self.global.add_edge(1 + cand_box.index(), node, 1);
-            let list = &mut self.g_slots[slot_idx].cand_edges;
-            let at = list.partition_point(|&(b, _)| b < cand_box);
-            list.insert(at, (cand_box, edge));
-        }
-        added.clear();
-        self.g_added_cands = added;
-        // Remember the raw list (and the stamp it was captured under) for
-        // the next call's fast paths.
-        let slot = &mut self.g_slots[slot_idx];
-        slot.given.clear();
-        slot.given.extend_from_slice(cands);
-        slot.given_valid = true;
-        slot.given_stamp = stamp;
-    }
-
-    /// De-capacitates one candidate edge, cancelling its flow first.
-    fn g_deactivate(&mut self, slot_idx: usize, edge_box: BoxId, edge: usize) {
-        if self.global.edge(edge).original_cap == 0 {
-            return; // already inactive
-        }
-        if self.global.flow_on(edge) == 1 {
-            self.g_cancel(slot_idx, edge_box, edge);
-        }
-        self.global.set_capacity(edge, 0);
-        self.g_dead_pairs += 1;
-    }
-
-    /// Cancels one unit of flow running source → box → request → sink.
-    fn g_cancel(&mut self, slot_idx: usize, edge_box: BoxId, cand_edge: usize) {
-        debug_assert_eq!(self.global.flow_on(cand_edge), 1);
-        self.global.push(cand_edge, -1);
-        self.global.push(self.source_edges[edge_box.index()], -1);
-        self.global.push(self.g_slots[slot_idx].sink_edge, -1);
-        self.g_total_flow -= 1;
-    }
-
-    /// Applies a changed per-box capacity, evicting excess assignments when
-    /// the new capacity is below the box's current load (the augmentation
-    /// phase re-routes them elsewhere).
-    fn g_patch_capacity(&mut self, box_idx: usize, new_cap: u32) {
-        let source_edge = self.source_edges[box_idx];
-        let mut excess = self.global.flow_on(source_edge) - new_cap as i64;
-        if excess > 0 {
-            let node = 1 + box_idx;
-            let mut cursor = self.global.first_edge(node);
-            while let Some(edge) = cursor {
-                if excess == 0 {
-                    break;
-                }
-                cursor = self.global.next_edge(edge);
-                if edge % 2 != 0 || self.global.flow_on(edge) != 1 {
-                    continue;
-                }
-                let target = self.global.target(edge);
-                let slot_idx = self.g_node_slot[target];
-                debug_assert_ne!(slot_idx, usize::MAX, "box edge must point at a request");
-                self.g_cancel(slot_idx, BoxId(box_idx as u32), edge);
-                excess -= 1;
-            }
-            debug_assert_eq!(excess, 0);
-        }
-        self.global.set_capacity(source_edge, new_cap as i64);
-        self.g_caps[box_idx] = new_cap;
-    }
-
-    /// Removes a tracked request: cancels its flow and de-capacitates its
-    /// sink edge, returning the slot to the pool.
-    ///
-    /// Candidate edges are left active: with the sink edge at capacity 0 no
-    /// flow can route through the request node, so they are harmless, and a
-    /// recycled slot often reuses them directly.
-    fn g_remove(&mut self, key: u128) {
-        let slot_idx = self.g_by_key.remove(&key).expect("request is tracked");
-        if self.global.flow_on(self.g_slots[slot_idx].sink_edge) == 1 {
-            let carrying = self.g_slots[slot_idx]
-                .cand_edges
-                .iter()
-                .copied()
-                .find(|&(_, e)| self.global.flow_on(e) == 1)
-                .expect("served request has a flow-carrying candidate edge");
-            self.g_cancel(slot_idx, carrying.0, carrying.1);
-        }
-        let sink_edge = self.g_slots[slot_idx].sink_edge;
-        if self.global.edge(sink_edge).original_cap != 0 {
-            self.global.set_capacity(sink_edge, 0);
-            self.g_dead_pairs += 1;
-        }
-        self.g_node_slot[self.g_slots[slot_idx].node] = usize::MAX;
-        self.g_free.push(slot_idx);
-    }
-
-    /// Debug check: the persistent flow is a valid flow of value
-    /// `g_total_flow`.
-    fn g_flow_is_consistent(&self) -> bool {
-        let mut source_out = 0;
-        for &e in &self.source_edges {
-            let flow = self.global.flow_on(e);
-            if flow < 0 || flow > self.global.edge(e).original_cap {
-                return false;
-            }
-            source_out += flow;
-        }
-        source_out == self.g_total_flow && self.global.net_outflow(0) == self.g_total_flow
+        self.keyed.edge_count()
     }
 
     /// Extracts a shard-local Hall obstruction: solves shard `idx`'s

@@ -38,14 +38,13 @@
 //! is a pure function of the inputs, independent of the thread count and of
 //! OS scheduling.
 
-use crate::scheduler::incremental::KeyHasher;
 use crate::scheduler::{IncrementalMatcher, RequestKey, Scheduler};
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::Mutex;
 use std::time::Instant;
 use vod_core::json::{obj, Json, JsonCodec, JsonError};
-use vod_core::BoxId;
+use vod_core::{BoxId, FxHasher64};
 use vod_flow::{
     CandidateBuf, CandidateView, ReconcileStats, RelayLendStats, RelayView, ShardedArena,
 };
@@ -143,7 +142,7 @@ struct ShardState {
     /// Local box id → global box id.
     global_of: Vec<BoxId>,
     /// Global box id → local box id.
-    local_of: HashMap<u32, u32, BuildHasherDefault<KeyHasher>>,
+    local_of: HashMap<u32, u32, BuildHasherDefault<FxHasher64>>,
     /// Shard-local capacities (budget split), padded to a power of two so
     /// the matcher's length-change rebuild only triggers on universe
     /// doublings, not on every new box a growing swarm touches.
@@ -224,7 +223,7 @@ struct ShardWork {
 pub struct ShardedMatcher {
     threads: usize,
     arena: ShardedArena,
-    states: HashMap<u64, ShardState, BuildHasherDefault<KeyHasher>>,
+    states: HashMap<u64, ShardState, BuildHasherDefault<FxHasher64>>,
     /// Round scratch (reused): shard keys per request, per-(shard, box)
     /// split targets, packed reconcile keys, work items.
     shard_keys: Vec<u64>,

@@ -19,6 +19,7 @@ use std::cell::Cell;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vod_core::{BoxId, RandomPermutationAllocator, StripeId, SystemParams, VideoId, VideoSystem};
+use vod_flow::{CandidateBuf, ShardedArena};
 use vod_sim::{MaxFlowScheduler, RequestKey, Scheduler, SimConfig, Simulator};
 use vod_workloads::{DemandGenerator, OccupancyView, VideoDemand};
 
@@ -149,6 +150,51 @@ fn request_churn_reuses_pooled_slots_without_allocating() {
         "slot-recycling rounds must not allocate (got {})",
         after - before
     );
+}
+
+/// The sharded scheduler's persistent reconciliation network patches
+/// candidate churn and capacity changes in place: once warm, a keyed
+/// reconcile allocates nothing.
+#[test]
+fn steady_state_keyed_reconcile_allocates_nothing() {
+    let caps: Vec<u32> = vec![2; 16];
+    // Box 3 loses a slot in the second half of every ten-round cycle.
+    let mut caps_low = caps.clone();
+    caps_low[3] = 1;
+    let keys: Vec<u128> = (0..24).collect();
+    let rows = |shift: u32| {
+        let mut buf = CandidateBuf::new();
+        (0..24u32).for_each(|i| buf.push_row([b(i % 16), b((i + shift) % 16)]));
+        buf
+    };
+    // Even and odd rounds swap every row's second candidate.
+    let rows = [rows(5), rows(9)];
+    let mut arena = ShardedArena::new();
+    let mut assignment: Vec<Option<BoxId>> = vec![None; 24];
+    let mut reconcile = |arena: &mut ShardedArena, round: u32| {
+        let caps = if round % 10 >= 5 { &caps_low } else { &caps };
+        let cands = rows[round as usize % 2].view();
+        // A lopsided shard phase: every request on its first candidate.
+        for (x, slot) in assignment.iter_mut().enumerate() {
+            *slot = cands.row(x).first().copied();
+        }
+        let stats = arena.reconcile_keyed_view(caps, &keys, cands, &mut assignment);
+        assert_eq!(stats.unmatched, 0, "round {round}");
+    };
+
+    // Warm-up: two full cycles grow every pooled buffer.
+    (0..20).for_each(|round| reconcile(&mut arena, round));
+    let rebuilds_after_warmup = arena.reconcile_rebuilds();
+    let before = allocations();
+    (20..30).for_each(|round| reconcile(&mut arena, round));
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state keyed reconciles must not allocate (got {} over 10 calls)",
+        after - before
+    );
+    assert_eq!(arena.reconcile_rebuilds(), rebuilds_after_warmup);
 }
 
 /// Demands every box once at round 0 and stays silent afterwards, so
